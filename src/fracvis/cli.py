@@ -112,28 +112,23 @@ def _write_or_print(args, text: str, default_name: str) -> None:
 
 
 def _cmd_generate(args) -> int:
-    kind = args.kind
-    if kind == "koch":
-        if args.target_dim is None:
-            raise ValueError("koch needs --target-dim")
-        curve = fractals.koch_generalized(args.target_dim, args.level)
-    elif kind == "quasicircle":
-        kwargs = {}
-        if args.roughness is not None:
-            kwargs["roughness"] = args.roughness
-        curve = fractals.quasicircle(seed=args.seed, level=args.level, **kwargs)
-    elif kind == "circle":
-        curve = fractals.circle(tuple(args.center), args.radius, args.n)
-    elif kind == "polyline":
-        if args.points is None or len(args.points) < 4 or len(args.points) % 2:
-            raise ValueError("polyline needs --points x1 y1 x2 y2 ...")
-        pts = [
-            (args.points[i], args.points[i + 1])
-            for i in range(0, len(args.points), 2)
-        ]
-        curve = fractals.polyline(pts)
-    else:
-        curve = fractals.cantor_cross(args.ratio, args.level)
+    if args.kind == "koch" and args.target_dim is None:
+        raise ValueError("koch needs --target-dim")
+    if args.kind == "polyline" and (
+        args.points is None or len(args.points) < 4 or len(args.points) % 2
+    ):
+        raise ValueError("polyline needs --points x1 y1 x2 y2 ...")
+    params = {
+        "quasicircle": ({} if args.roughness is None
+                        else {"roughness": args.roughness}),
+        "circle": {"cx": args.center[0], "cy": args.center[1],
+                   "radius": args.radius, "n": args.n},
+        "polyline": {"points": args.points},
+        "cantor_cross": {"ratio": args.ratio},
+    }.get(args.kind, {})
+    spec = fractals.CurveSpec(args.kind, args.target_dim, args.level, args.seed,
+                              params)
+    curve = fractals.generate(spec)
     _write_or_print(args, fractals.curve_to_json(curve), "curve.json")
     return 0
 

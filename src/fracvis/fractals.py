@@ -33,16 +33,13 @@ KOCH_MAX_DIM = 1.79
 MAX_LEVEL = 12
 CANTOR_MAX_LEVEL = 10
 
-# Radial displacement scale for quasicircles.  The step-k displacement is
 # Quasicircle bump scale: step k multiplies radii by
 # 1 + amplitude * roughness * 2**(-k * holder) * eta, clipped so the factor
 # never reaches zero.  Calibrated against box_dimension at levels 8-10.
 QUASI_AMPLITUDE = 1.8
+# Roughness of quasicircle() and of quasicircle specs that do not set one.
+QUASI_ROUGHNESS = 0.6
 _QUASI_BUMP_CLIP = 0.95
-
-
-class GenerationError(ValueError):
-    """Raised when a curve family cannot produce a valid curve."""
 
 
 @dataclass(frozen=True)
@@ -240,7 +237,7 @@ def koch_generalized(target_dim: float, level: int) -> CurveApprox:
     return _finish(segs, level, target_dim, spec)
 
 
-def quasicircle(seed: int, roughness: float = 0.6, level: int = 9,
+def quasicircle(seed: int, roughness: float = QUASI_ROUGHNESS, level: int = 9,
                 amplitude: float = QUASI_AMPLITUDE) -> CurveApprox:
     """Closed rough circle via radial midpoint displacement.
 
@@ -276,10 +273,6 @@ def quasicircle(seed: int, roughness: float = 0.6, level: int = 9,
             -_QUASI_BUMP_CLIP, _QUASI_BUMP_CLIP,
         )
         mid_radius = 0.5 * (radius + np.roll(radius, -1)) * (1.0 + bump)
-        if np.any(mid_radius <= 0.0):
-            raise GenerationError(
-                "self-intersection detected; regenerate with lower roughness"
-            )
         theta_all = np.empty(2 * m)
         radius_all = np.empty(2 * m)
         theta_all[0::2] = theta
@@ -365,7 +358,7 @@ def generate(spec: CurveSpec) -> CurveApprox:
     if spec.kind == "quasicircle":
         return quasicircle(
             spec.seed,
-            float(spec.params.get("roughness", 0.5)),
+            float(spec.params.get("roughness", QUASI_ROUGHNESS)),
             spec.level,
             float(spec.params.get("amplitude", QUASI_AMPLITUDE)),
         )
@@ -401,31 +394,31 @@ def uniform_measure(curve: CurveApprox, n: int) -> DiscreteMeasure:
         cloud = curve.segments[:, 0:2]
         idx = np.floor((np.arange(n) + 0.5) * cloud.shape[0] / n).astype(int)
         pts = cloud[np.minimum(idx, cloud.shape[0] - 1)]
-        return DiscreteMeasure(pts, np.full(n, 1.0 / n))
-    lengths = curve.lengths()
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
-    total = cum[-1]
-    targets = (np.arange(n) + 0.5) / n * total
-    seg_idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0,
-                      curve.n_segments - 1)
-    local = (targets - cum[seg_idx]) / lengths[seg_idx]
-    a = curve.segments[seg_idx, 0:2]
-    b = curve.segments[seg_idx, 2:4]
-    pts = a + local[:, None] * (b - a)
+    else:
+        pts = sample_arclength(curve, (np.arange(n) + 0.5) / n)
     return DiscreteMeasure(pts, np.full(n, 1.0 / n))
 
 
 def sample_arclength(curve: CurveApprox, fractions: np.ndarray) -> np.ndarray:
     """Points at the given arclength fractions (in [0, 1]) along the curve."""
-    lengths = curve.lengths()
+    return points_at_arclength(curve.segments[:, 0:2], curve.segments[:, 2:4],
+                               curve.lengths(), fractions)
+
+
+def points_at_arclength(starts: np.ndarray, ends: np.ndarray,
+                        lengths: np.ndarray, fractions) -> np.ndarray:
+    """Points at the given fractions of the total length of a segment chain.
+
+    Segment i runs from ``starts[i]`` to ``ends[i]`` and has length
+    ``lengths[i]``; the segments are laid end to end in index order.
+    Callers pass their own lengths so every path keeps its exact rounding.
+    """
     cum = np.concatenate([[0.0], np.cumsum(lengths)])
     targets = np.asarray(fractions, dtype=float) * cum[-1]
-    seg_idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0,
-                      curve.n_segments - 1)
-    local = (targets - cum[seg_idx]) / lengths[seg_idx]
-    a = curve.segments[seg_idx, 0:2]
-    b = curve.segments[seg_idx, 2:4]
-    return a + local[:, None] * (b - a)
+    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0,
+                  lengths.size - 1)
+    local = (targets - cum[idx]) / lengths[idx]
+    return starts[idx] + local[:, None] * (ends[idx] - starts[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -403,8 +403,10 @@ def hit_t_elementwise(ox, oy, dx, dy, ax, ay, bx, by) -> np.ndarray:
     endpoint beyond the origin.  Hits at t <= EPS_GEOM are discarded so a
     ray never reports its own origin.
 
-    This is the single kernel shared by brute-force queries, the spatial
-    index, and the visibility sweep, which keeps every path bit-identical.
+    This is the kernel of every brute-force ray query: the helpers below,
+    ``first_hit`` and the visibility oracle.  The visibility sweep computes
+    its own line hits, since a probe inside a segment's angular span always
+    meets that segment.
     """
     ex = bx - ax
     ey = by - ay

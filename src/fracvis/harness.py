@@ -17,6 +17,7 @@ and the SVG plots are byte-identical for any worker count.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -136,12 +137,7 @@ class ViewpointPlan:
                 raise ValueError("region must have positive width and height")
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "count": self.count,
-            "radii": None if self.radii is None else list(self.radii),
-            "region": None if self.region is None else list(self.region),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ViewpointPlan":
@@ -176,13 +172,7 @@ class EstimatorPlan:
                 raise ValueError("scale window must satisfy 0 < min < max")
 
     def to_dict(self) -> dict:
-        return {
-            "scale_policy": self.scale_policy,
-            "n_scales": self.n_scales,
-            "scale_window": (
-                None if self.scale_window is None else list(self.scale_window)
-            ),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimatorPlan":
@@ -215,16 +205,7 @@ class ExperimentConfig:
             raise ValueError("bound tolerance must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "curve": self.curve.to_dict(),
-            "viewpoints": self.viewpoints.to_dict(),
-            "samples_per_visible": self.samples_per_visible,
-            "estimator": self.estimator.to_dict(),
-            "s_threshold": self.s_threshold,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "bound_tol": self.bound_tol,
-        }
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -423,21 +404,7 @@ class BoundReport:
             if isinstance(self.d_hat, DimEstimate)
             else {"value": float(self.d_hat)}
         )
-        return {
-            "experiment_id": self.experiment_id,
-            "d_hat": d_hat,
-            "theoretical_dim": self.theoretical_dim,
-            "f_bound": self.f_bound,
-            "bound_tol": self.bound_tol,
-            "s_threshold": self.s_threshold,
-            "rows": self.rows,
-            "fraction_within": self.fraction_within,
-            "exceptional_set_fraction": self.exceptional_set_fraction,
-            "exceptional_bound": self.exceptional_bound,
-            "exceptional_set_dim": self.exceptional_set_dim,
-            "exceptional_set_flag": self.exceptional_set_flag,
-            "max_dim_visible": self.max_dim_visible,
-        }
+        return {**dataclasses.asdict(self), "d_hat": d_hat}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -606,10 +573,16 @@ def write_results_csv(path, config: ExperimentConfig, rows: list[SweepRow],
 
 def read_results_csv(path) -> list[SweepRow]:
     """Parse a results file back into rows; malformed lines name themselves."""
+    return _read_results(path)[1]
+
+
+def _read_results(path) -> tuple[str, list[SweepRow]]:
+    """The first row's experiment id ("" without rows) and every row."""
 
     def fail(line_no: int, msg: str):
         raise ValueError(f"{path}: line {line_no}: {msg}")
 
+    experiment_id = ""
     rows: list[SweepRow] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -621,6 +594,8 @@ def read_results_csv(path) -> list[SweepRow]:
         for line_no, rec in enumerate(reader, start=2):
             if len(rec) != len(CSV_COLUMNS):
                 fail(line_no, f"expected {len(CSV_COLUMNS)} fields, got {len(rec)}")
+            if not rows:
+                experiment_id = rec[0]
             try:
                 rows.append(
                     SweepRow(
@@ -641,7 +616,7 @@ def read_results_csv(path) -> list[SweepRow]:
                 if "line" in str(exc):
                     raise
                 fail(line_no, str(exc))
-    return rows
+    return experiment_id, rows
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +634,6 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     """
     curve = generate(config.curve)
     index = SegmentIndex(curve)
-    index.crossings()
     window = _estimator_window(curve, config.estimator)
     d_hat = box_dimension(curve, scale_window=window,
                           n_scales=config.estimator.n_scales)
@@ -699,16 +673,9 @@ def verify_bound(csv_path, d_hat: DimEstimate | float,
     Run against a sweep's own CSV with the sweep's d_hat and tolerance, it
     reproduces the sweep's aggregate fields exactly.
     """
-    rows = read_results_csv(csv_path)
+    experiment_id, rows = _read_results(csv_path)
     if not rows:
         raise ValueError(f"{csv_path}: no data rows")
-    experiment_id = ""
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        first = next(reader, None)
-        if first:
-            experiment_id = first[0]
     return aggregate_report(rows, d_hat, tol, s_threshold,
                             experiment_id=experiment_id)
 

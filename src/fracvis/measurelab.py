@@ -284,6 +284,24 @@ def sector_mass_check(mu: DiscreteMeasure, x, sector, ann: Annulus, s: float,
 # ---------------------------------------------------------------------------
 
 
+def _distance_blocks(pts: np.ndarray):
+    """Pairwise-distance blocks covering the upper triangle, row block first.
+
+    Yields (i0, j0, d) with j0 >= i0, where d holds the distances from
+    pts[i0 : i0 + _BLOCK] to pts[j0 : j0 + _BLOCK].  A diagonal block
+    (i0 == j0) is the full square; its lower half repeats the upper one.
+    """
+    n = pts.shape[0]
+    for i0 in range(0, n, _BLOCK):
+        pi = pts[i0 : i0 + _BLOCK]
+        for j0 in range(i0, n, _BLOCK):
+            pj = pts[j0 : j0 + _BLOCK]
+            yield i0, j0, np.hypot(
+                pi[:, None, 0] - pj[None, :, 0],
+                pi[:, None, 1] - pj[None, :, 1],
+            )
+
+
 def riesz_energy(mu: DiscreteMeasure, s: float) -> float:
     """Off-diagonal double sum  sum_{i != j} w_i w_j |p_i - p_j|**(-s).
 
@@ -293,32 +311,23 @@ def riesz_energy(mu: DiscreteMeasure, s: float) -> float:
     """
     if s <= 0.0:
         raise ValueError("exponent must be positive")
-    pts = mu.points
     w = mu.weights
-    n = pts.shape[0]
-    if n < 2:
+    if mu.points.shape[0] < 2:
         raise ValueError("energy needs at least two atoms")
     total = 0.0
-    for i0 in range(0, n, _BLOCK):
-        pi = pts[i0 : i0 + _BLOCK]
+    for i0, j0, d in _distance_blocks(mu.points):
         wi = w[i0 : i0 + _BLOCK]
-        for j0 in range(i0, n, _BLOCK):
-            pj = pts[j0 : j0 + _BLOCK]
-            wj = w[j0 : j0 + _BLOCK]
-            d = np.hypot(
-                pi[:, None, 0] - pj[None, :, 0],
-                pi[:, None, 1] - pj[None, :, 1],
-            )
-            if i0 == j0:
-                iu = np.triu_indices(d.shape[0], k=1)
-                dv = d[iu]
-                if np.any(dv == 0.0):
-                    raise ValueError("coincident atoms make the energy undefined")
-                total += 2.0 * float(np.sum(wi[iu[0]] * wj[iu[1]] * dv**(-s)))
-            else:
-                if np.any(d == 0.0):
-                    raise ValueError("coincident atoms make the energy undefined")
-                total += 2.0 * float(np.sum((wi[:, None] * wj[None, :]) * d**(-s)))
+        wj = w[j0 : j0 + _BLOCK]
+        if i0 == j0:
+            iu = np.triu_indices(d.shape[0], k=1)
+            dv = d[iu]
+            if np.any(dv == 0.0):
+                raise ValueError("coincident atoms make the energy undefined")
+            total += 2.0 * float(np.sum(wi[iu[0]] * wj[iu[1]] * dv**(-s)))
+        else:
+            if np.any(d == 0.0):
+                raise ValueError("coincident atoms make the energy undefined")
+            total += 2.0 * float(np.sum((wi[:, None] * wj[None, :]) * d**(-s)))
     return total
 
 
@@ -355,19 +364,12 @@ def _energy_profile(curve: CurveApprox, n: int, s_grid: np.ndarray,
         else:
             pts = sample_arclength(curve, rng.random(n))
         kept = []
-        for i0 in range(0, n, _BLOCK):
-            pi = pts[i0 : i0 + _BLOCK]
-            for j0 in range(i0, n, _BLOCK):
-                pj = pts[j0 : j0 + _BLOCK]
-                d = np.hypot(
-                    pi[:, None, 0] - pj[None, :, 0],
-                    pi[:, None, 1] - pj[None, :, 1],
-                )
-                if i0 == j0:
-                    d = d[np.triu_indices(d.shape[0], k=1)]
-                else:
-                    d = d.ravel()
-                kept.append(d[(d > lo) & (d <= hi)])
+        for i0, j0, d in _distance_blocks(pts):
+            if i0 == j0:
+                d = d[np.triu_indices(d.shape[0], k=1)]
+            else:
+                d = d.ravel()
+            kept.append(d[(d > lo) & (d <= hi)])
         dists = np.concatenate(kept)
         if dists.size:
             # Factor 2: each unordered pair appears twice in the double sum.

@@ -12,8 +12,8 @@ Correctness does not depend on any resolution parameter.
 Ties where a ray meets two segments at the same distance (shared endpoints)
 resolve to the lower segment index everywhere, which keeps every output
 byte-reproducible.  ``visible_oracle`` is the independent brute-force check,
-and :class:`SegmentIndex` is an optional bounding-interval hierarchy that
-accelerates first-hit queries without changing any result.
+``first_hit`` casts single rays by brute force, and :class:`SegmentIndex`
+caches a curve's segment crossings so that many viewpoints share them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractals import CurveApprox, DiscreteMeasure
+from .fractals import CurveApprox, DiscreteMeasure, points_at_arclength
 from .geom import (
     EPS_GEOM,
     TWO_PI,
@@ -32,9 +32,6 @@ from .geom import (
     hit_t_elementwise,
     point_segments_dist,
 )
-
-_LEAF_SIZE = 8
-_SLAB_SLOP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,23 +111,17 @@ def _lex_update(best_t, best_seg, t, seg):
     best_seg[better] = seg[better]
 
 
-def first_hit_batch(curve: CurveApprox, x, thetas, index: "SegmentIndex | None" = None,
-                    validate: bool = True):
+def first_hit_batch(curve: CurveApprox, x, thetas):
     """First-hit parameters and segment indices for rays from one origin.
 
     Returns (t, seg) arrays; misses carry t = +inf and seg = n_segments.
-    Ties at equal distance go to the lower segment index.  Passing an index
-    changes the work done, never the answer.
+    Ties at equal distance go to the lower segment index.
     """
     o = _xy(x)
     th = np.asarray(thetas, dtype=float)
-    if validate:
-        _reject_bad_viewpoint(curve, o)
+    _reject_bad_viewpoint(curve, o)
     dx = np.cos(th)
     dy = np.sin(th)
-    if index is not None:
-        return index.batch_first_hit(np.full(th.size, o[0]), np.full(th.size, o[1]),
-                                     dx, dy)
     segs = curve.segments
     n = segs.shape[0]
     best_t = np.full(th.size, np.inf)
@@ -148,11 +139,10 @@ def first_hit_batch(curve: CurveApprox, x, thetas, index: "SegmentIndex | None" 
     return best_t, best_seg
 
 
-def first_hit(curve: CurveApprox, x, theta: float,
-              index: "SegmentIndex | None" = None) -> HitRecord | None:
+def first_hit(curve: CurveApprox, x, theta: float) -> HitRecord | None:
     """First curve point met by the ray from x in direction theta, or None."""
     o = _xy(x)
-    t, seg = first_hit_batch(curve, o, [theta], index)
+    t, seg = first_hit_batch(curve, o, [theta])
     if not np.isfinite(t[0]):
         return None
     px = o[0] + t[0] * math.cos(theta)
@@ -241,19 +231,38 @@ def find_segment_crossings(curve: CurveApprox) -> np.ndarray:
     return pts
 
 
+class SegmentIndex:
+    """A curve's segment crossings, computed once for many viewpoints.
+
+    The crossings are event angles for every ``visible_set`` call on the
+    curve, so a sweep builds one index and passes it to each call instead
+    of recomputing them per viewpoint.
+    """
+
+    def __init__(self, curve: CurveApprox):
+        if curve.is_point_cloud:
+            raise ValueError("visibility requires a segment set")
+        self._crossings = find_segment_crossings(curve)
+
+    def crossings(self) -> np.ndarray:
+        return self._crossings
+
+
 # ---------------------------------------------------------------------------
 # Exact angular sweep
 # ---------------------------------------------------------------------------
 
 
 def visible_set(curve: CurveApprox, x,
-                index: "SegmentIndex | None" = None) -> VisibleSet:
+                index: SegmentIndex | None = None) -> VisibleSet:
     """Exact visible part of the curve from x.
 
     Output pieces are maximal sub-segments, angularly disjoint from x, each
     lying on its parent segment; they are listed by parent segment index.
     ``angular_coverage`` is the measure of directions whose ray meets the
     curve.  x must be strictly off the curve; point clouds are rejected.
+    ``index``, when given, must have been built from this curve; it only
+    saves recomputing the crossings.
     """
     o = _xy(x)
     dist = _reject_bad_viewpoint(curve, o)
@@ -431,216 +440,24 @@ def visible_oracle(curve: CurveApprox, x, u, eps: float | None = None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def sample_visible(vs: VisibleSet, n: int, seed: int = 0):
+def sample_visible(vs: VisibleSet, n: int):
     """n arclength-uniform points on the visible pieces, weights 1/n.
 
     Points sit at arclengths (i + 1/2)/n of the total visible length
-    (midpoint rule), so the sample is fully determined by the visible set;
-    ``seed`` is accepted for interface stability and recorded nowhere.
+    (midpoint rule), so the sample is fully determined by the visible set.
     Returns (points, DiscreteMeasure).
     """
     if n < 1:
         raise ValueError("need at least one sample")
     if not vs.pieces:
         raise ValueError("empty visible set has nothing to sample")
-    lengths = np.array([p.length for p in vs.pieces])
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
-    total = cum[-1]
-    targets = (np.arange(n) + 0.5) / n * total
-    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0,
-                  len(vs.pieces) - 1)
-    starts = np.array([p.start for p in vs.pieces])
-    ends = np.array([p.end for p in vs.pieces])
-    local = (targets - cum[idx]) / lengths[idx]
-    pts = starts[idx] + local[:, None] * (ends[idx] - starts[idx])
-    return pts, DiscreteMeasure(pts, np.full(n, 1.0 / n))
-
-
-# ---------------------------------------------------------------------------
-# Bounding-interval hierarchy
-# ---------------------------------------------------------------------------
-
-
-class SegmentIndex:
-    """Static hierarchy of segment bounding boxes for first-hit queries.
-
-    Built once per curve; queries traverse level-synchronously over arrays,
-    so large ray batches stay inside numpy.  Results are bit-identical to
-    the brute-force path: the same hit kernel runs on candidate pairs and a
-    node is never pruned unless every hit inside it is strictly worse than
-    the ray's current best.
-    """
-
-    def __init__(self, curve: CurveApprox):
-        if curve.is_point_cloud:
-            raise ValueError("visibility requires a segment set")
-        self._curve = curve
-        segs = curve.segments
-        n = segs.shape[0]
-        bx_min = np.minimum(segs[:, 0], segs[:, 2])
-        bx_max = np.maximum(segs[:, 0], segs[:, 2])
-        by_min = np.minimum(segs[:, 1], segs[:, 3])
-        by_max = np.maximum(segs[:, 1], segs[:, 3])
-        cx = 0.5 * (bx_min + bx_max)
-        cy = 0.5 * (by_min + by_max)
-
-        boxes: list[list[float]] = []
-        lefts: list[int] = []
-        rights: list[int] = []
-        starts: list[int] = []
-        ends: list[int] = []
-        perm: list[np.ndarray] = []
-        offset = 0
-
-        stack = [(np.arange(n, dtype=np.int64), 0)]
-        boxes.append([0.0] * 4)
-        lefts.append(-1)
-        rights.append(-1)
-        starts.append(0)
-        ends.append(0)
-        while stack:
-            idx, slot = stack.pop()
-            boxes[slot] = [
-                float(bx_min[idx].min()),
-                float(by_min[idx].min()),
-                float(bx_max[idx].max()),
-                float(by_max[idx].max()),
-            ]
-            if idx.size <= _LEAF_SIZE:
-                starts[slot] = offset
-                ends[slot] = offset + idx.size
-                perm.append(idx)
-                offset += idx.size
-                continue
-            spread_x = boxes[slot][2] - boxes[slot][0]
-            spread_y = boxes[slot][3] - boxes[slot][1]
-            key = cx[idx] if spread_x >= spread_y else cy[idx]
-            order = np.argsort(key, kind="stable")
-            half = idx.size // 2
-            left_idx = idx[order[:half]]
-            right_idx = idx[order[half:]]
-            for child_idx, setter in ((left_idx, "l"), (right_idx, "r")):
-                boxes.append([0.0] * 4)
-                lefts.append(-1)
-                rights.append(-1)
-                starts.append(0)
-                ends.append(0)
-                child_slot = len(boxes) - 1
-                if setter == "l":
-                    lefts[slot] = child_slot
-                else:
-                    rights[slot] = child_slot
-                stack.append((child_idx, child_slot))
-
-        self._box = np.array(boxes)
-        self._left = np.array(lefts, dtype=np.int64)
-        self._right = np.array(rights, dtype=np.int64)
-        self._start = np.array(starts, dtype=np.int64)
-        self._end = np.array(ends, dtype=np.int64)
-        self._perm = (np.concatenate(perm) if perm
-                      else np.empty(0, dtype=np.int64))
-        self._crossings: np.ndarray | None = None
-
-    @property
-    def n_segments(self) -> int:
-        return self._curve.n_segments
-
-    def crossings(self) -> np.ndarray:
-        if self._crossings is None:
-            self._crossings = find_segment_crossings(self._curve)
-        return self._crossings
-
-    def batch_first_hit(self, ox, oy, dx, dy):
-        """Lexicographic-min (t, segment) per ray; misses get (inf, n)."""
-        segs = self._curve.segments
-        n = segs.shape[0]
-        q = np.asarray(ox).size
-        best_t = np.full(q, np.inf)
-        best_seg = np.full(q, n, dtype=np.int64)
-        if n == 0:
-            return best_t, best_seg
-
-        rays = np.arange(q, dtype=np.int64)
-        nodes = np.zeros(q, dtype=np.int64)
-        while rays.size:
-            bb = self._box[nodes]
-            rx = np.asarray(ox)[rays]
-            ry = np.asarray(oy)[rays]
-            rdx = np.asarray(dx)[rays]
-            rdy = np.asarray(dy)[rays]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t1x = (bb[:, 0] - rx) / rdx
-                t2x = (bb[:, 2] - rx) / rdx
-                t1y = (bb[:, 1] - ry) / rdy
-                t2y = (bb[:, 3] - ry) / rdy
-            t_near = np.fmax(np.fmin(t1x, t2x), np.fmin(t1y, t2y))
-            t_far = np.fmin(np.fmax(t1x, t2x), np.fmax(t1y, t2y))
-            zero_x = rdx == 0.0
-            zero_y = rdy == 0.0
-            # Degenerate axes: inside the slab keeps (-inf, inf); outside kills.
-            if np.any(zero_x):
-                inside = (rx >= bb[:, 0]) & (rx <= bb[:, 2])
-                t_near = np.where(zero_x & ~inside, np.inf, t_near)
-            if np.any(zero_y):
-                inside = (ry >= bb[:, 1]) & (ry <= bb[:, 3])
-                t_near = np.where(zero_y & ~inside, np.inf, t_near)
-            # The slab parameters carry rounding the hit kernel does not, so
-            # a ray grazing a box corner can read t_near > t_far by a few
-            # ulp.  Pad the cut: extra visits cost work, never correctness.
-            with np.errstate(invalid="ignore"):
-                slop = _SLAB_SLOP * np.fmax(1.0, np.abs(t_near))
-                alive = (t_far >= np.fmax(t_near, 0.0) - slop) & (
-                    t_near - slop <= best_t[rays]
-                )
-            rays = rays[alive]
-            nodes = nodes[alive]
-            if not rays.size:
-                break
-
-            is_leaf = self._left[nodes] < 0
-            leaf_rays = rays[is_leaf]
-            leaf_nodes = nodes[is_leaf]
-            if leaf_rays.size:
-                s0 = self._start[leaf_nodes]
-                s1 = self._end[leaf_nodes]
-                pair_pos = _ragged_ranges(s0, s1)
-                pair_ray = _repeat_ids(leaf_rays, s0, s1)
-                pair_seg = self._perm[pair_pos]
-                sub = segs[pair_seg]
-                t = hit_t_elementwise(
-                    np.asarray(ox)[pair_ray], np.asarray(oy)[pair_ray],
-                    np.asarray(dx)[pair_ray], np.asarray(dy)[pair_ray],
-                    sub[:, 0], sub[:, 1], sub[:, 2], sub[:, 3],
-                )
-                order = np.lexsort((pair_seg, t, pair_ray))
-                pr = pair_ray[order]
-                keep = np.ones(pr.size, dtype=bool)
-                keep[1:] = pr[1:] != pr[:-1]
-                rr = pr[keep]
-                tt = t[order][keep]
-                ss = pair_seg[order][keep]
-                _lex_update_at(best_t, best_seg, rr, tt, ss)
-
-            inner_rays = rays[~is_leaf]
-            inner_nodes = nodes[~is_leaf]
-            rays = np.concatenate([inner_rays, inner_rays])
-            nodes = np.concatenate([self._left[inner_nodes],
-                                    self._right[inner_nodes]])
-        return best_t, best_seg
-
-
-def _lex_update_at(best_t, best_seg, rows, t, seg):
-    better = (t < best_t[rows]) | (
-        np.isfinite(t) & (t == best_t[rows]) & (seg < best_seg[rows])
+    pts = points_at_arclength(
+        np.array([p.start for p in vs.pieces]),
+        np.array([p.end for p in vs.pieces]),
+        np.array([p.length for p in vs.pieces]),
+        (np.arange(n) + 0.5) / n,
     )
-    rows = rows[better]
-    best_t[rows] = t[better]
-    best_seg[rows] = seg[better]
-
-
-def build_index(curve: CurveApprox) -> SegmentIndex:
-    """Build the bounding-interval hierarchy for a curve."""
-    return SegmentIndex(curve)
+    return pts, DiscreteMeasure(pts, np.full(n, 1.0 / n))
 
 
 # ---------------------------------------------------------------------------

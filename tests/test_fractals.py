@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from fracvis.fractals import (
     CurveSpec,
     DiscreteMeasure,
-    GenerationError,
     cantor_cross,
     circle,
     curve_from_json,
@@ -73,7 +72,7 @@ def test_koch_chain_invariants(target_dim, level):
 
 def test_koch_rejects_out_of_range_dim():
     for bad in (1.0, 1.8, 0.5, 2.0):
-        with pytest.raises((ValueError, GenerationError)):
+        with pytest.raises(ValueError):
             koch_generalized(bad, 2)
 
 
@@ -240,6 +239,14 @@ def test_generate_dispatch_matches_direct_constructors():
     )
     with pytest.raises(ValueError):
         generate(CurveSpec("nonsense", None, 1, 0))
+
+
+def test_quasicircle_spec_without_roughness_matches_constructor_default():
+    spec = CurveSpec("quasicircle", None, 6, 4)
+    assert (
+        generate(spec).segments.tobytes()
+        == quasicircle(4, level=6).segments.tobytes()
+    )
 
 
 def test_curve_json_round_trip(tmp_path, koch5):

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fracvis import cli
-from fracvis.fractals import CurveSpec, koch_generalized
+from fracvis.fractals import CurveSpec, curve_to_json, generate, koch_generalized
 from fracvis.geom import point_segments_dist
 from fracvis.harness import (
     EstimatorPlan,
@@ -283,6 +283,44 @@ def test_cli_generate_dim_energy_pipeline(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["value"] == pytest.approx(1.4461338383611861, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (["--kind", "koch", "--target-dim", "1.4", "--level", "3"],
+         CurveSpec("koch", 1.4, 3, 0)),
+        (["--kind", "quasicircle", "--level", "5"],
+         CurveSpec("quasicircle", None, 5, 7)),
+        (["--kind", "quasicircle", "--roughness", "0.3", "--level", "5"],
+         CurveSpec("quasicircle", None, 5, 7, {"roughness": 0.3})),
+        (["--kind", "circle", "--center", "1", "2", "--radius", "2.5",
+          "--n", "100"],
+         CurveSpec("circle", None, 0, 0,
+                   {"cx": 1.0, "cy": 2.0, "radius": 2.5, "n": 100})),
+        (["--kind", "polyline", "--points", "0", "0", "1", "0", "1", "1"],
+         CurveSpec("polyline", None, 0, 0, {"points": [0, 0, 1, 0, 1, 1]})),
+        (["--kind", "cantor_cross", "--ratio", "0.25", "--level", "3"],
+         CurveSpec("cantor_cross", None, 3, 0, {"ratio": 0.25})),
+    ],
+    ids=["koch", "quasicircle", "quasicircle-roughness", "circle", "polyline",
+         "cantor_cross"],
+)
+def test_cli_generate_writes_the_spec_curve(tmp_path, argv, spec):
+    path = tmp_path / "curve.json"
+    rc = cli.main(["--quiet", "--seed", "7", "--out", str(path), "generate",
+                   *argv])
+    assert rc == 0
+    assert path.read_text(encoding="utf-8") == curve_to_json(generate(spec)) + "\n"
+
+
+def test_cli_generate_rejects_odd_polyline_points(tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    rc = cli.main(["--out", str(path), "generate", "--kind", "polyline",
+                   "--points", "0", "0", "1"])
+    assert rc == 1
+    assert "--points" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_cli_sweep_and_verify(tmp_path, capsys):

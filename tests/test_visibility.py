@@ -1,23 +1,20 @@
-"""First-hit ray casting, visible-set extraction, and the BVH index."""
+"""First-hit ray casting, visible-set extraction, and the crossing cache."""
 
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fracvis.fractals import (
     cantor_cross,
     circle,
     from_segments,
-    koch_generalized,
     polyline,
 )
 from fracvis.geom import arc_diam, point_segments_dist
 from fracvis.visibility import (
-    build_index,
+    SegmentIndex,
     first_hit,
     first_hit_batch,
     read_visible_set,
@@ -225,37 +222,26 @@ def test_sample_visible_rejects_bad_n(unit_segment):
 
 
 # ---------------------------------------------------------------------------
-# index versus brute force
+# crossing cache
 # ---------------------------------------------------------------------------
 
 
-def test_index_matches_brute_force_bit_identical(koch5):
-    x = (0.2, -1.0)
-    thetas = np.linspace(0.0, 2 * math.pi, 2048, endpoint=False)
-    # aim some rays exactly at shared vertices to exercise tie handling
-    verts = koch5.segments[::7, 0:2]
-    aimed = np.arctan2(verts[:, 1] - x[1], verts[:, 0] - x[0])
-    thetas = np.concatenate([thetas, aimed])
-    idx = build_index(koch5)
-    t_idx, seg_idx = first_hit_batch(koch5, x, thetas, index=idx)
-    t_brute, seg_brute = first_hit_batch(koch5, x, thetas)
-    assert t_idx.tobytes() == t_brute.tobytes()
-    assert seg_idx.tobytes() == seg_brute.tobytes()
-
-
-@settings(max_examples=20)
-@given(st.integers(0, 2**31 - 1))
-def test_index_matches_brute_force_random_viewpoints(seed):
-    k = koch_generalized(1.3, 4)
-    r = np.random.default_rng(seed)
-    x = r.uniform(-2.0, 3.0, size=2)
-    if float(point_segments_dist(x, k.segments).min()) < 1e-6:
-        return
-    thetas = r.uniform(0.0, 2 * math.pi, size=256)
-    t_a, s_a = first_hit_batch(k, tuple(x), thetas, index=build_index(k))
-    t_b, s_b = first_hit_batch(k, tuple(x), thetas)
-    assert t_a.tobytes() == t_b.tobytes()
-    assert s_a.tobytes() == s_b.tobytes()
+@pytest.mark.parametrize("x", [(4.0, 0.1), (0.2, 3.0), (-3.0, -0.5)])
+def test_crossing_cache_on_self_crossing_soup(x):
+    # an X crossing at the origin, plus a short wall that hides part of it
+    soup = from_segments(
+        [[-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, -1.0], [2.0, -0.3, 2.0, 0.3]]
+    )
+    index = SegmentIndex(soup)
+    assert index.crossings() == pytest.approx(np.array([[0.0, 0.0]]))
+    cached = visible_set(soup, x, index)
+    fresh = visible_set(soup, x)
+    assert cached.pieces == fresh.pieces
+    assert cached.angular_coverage == fresh.angular_coverage
+    pts, _ = sample_visible(cached, 64)
+    eps = soup.min_seg_len / 100.0
+    for p in pts:
+        assert visible_oracle(soup, x, tuple(p), eps=eps)
 
 
 def test_visible_pieces_subsets_of_parents_level7(koch7):
