@@ -1,0 +1,73 @@
+"""Time and memory of the visibility layers on Koch d=1.5 curves by level.
+
+Usage:
+
+    python3 scripts/scale_probe.py 8 9 10
+
+Each level runs in a fresh interpreter.  It builds
+``koch_generalized(1.5, LEVEL)``, then its ``SegmentIndex``, then one
+``visible_set`` from the first ring viewpoint of ``plan_viewpoints``
+(seed 0), and prints the wall time of each step and the process's
+``ru_maxrss`` after it.  The launcher imports neither numpy nor fracvis,
+because a child's ``ru_maxrss`` starts from its launcher's peak.
+"""
+
+from __future__ import annotations
+
+import argparse
+import multiprocessing
+import resource
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+KOCH_DIM = 1.5
+SEED = 0
+
+
+def _rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _probe(level: int) -> None:
+    from fracvis.fractals import koch_generalized
+    from fracvis.harness import ViewpointPlan, plan_viewpoints
+    from fracvis.visibility import SegmentIndex, visible_set
+
+    def report(step: str, t0: float, detail: str) -> None:
+        print(f"L{level} {step:<14} {time.perf_counter() - t0:8.3f} s "
+              f"rss {_rss_mb():7.1f} MB  {detail}", flush=True)
+
+    t0 = time.perf_counter()
+    curve = koch_generalized(KOCH_DIM, level)
+    report("generate", t0, f"{curve.segments.shape[0]} segments")
+    t0 = time.perf_counter()
+    index = SegmentIndex(curve)
+    report("SegmentIndex", t0, f"{index.crossings().shape[0]} crossings")
+    vp = plan_viewpoints(curve, ViewpointPlan(mode="ring", count=1), SEED)[0]
+    t0 = time.perf_counter()
+    vs = visible_set(curve, vp, index)
+    report("visible_set", t0, f"{len(vs.pieces)} pieces from "
+                              f"({vp[0]:.4f}, {vp[1]:.4f})")
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("levels", type=int, nargs="+", metavar="LEVEL")
+    args = p.parse_args(argv)
+    ctx = multiprocessing.get_context("spawn")
+    status = 0
+    for level in args.levels:
+        proc = ctx.Process(target=_probe, args=(level,))
+        proc.start()
+        proc.join()
+        if proc.exitcode != 0:
+            print(f"L{level} failed with exit code {proc.exitcode}", flush=True)
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

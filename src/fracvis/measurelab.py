@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -669,6 +670,11 @@ def mass_bound_constants(s: float, xi: float, M: float, d_minus: float,
 
     Requires s > 1, 0 < xi < s - 1, 2 + xi - s > 0, 0 < r1 <= 1 and
     0 < d_minus <= d_plus; all outputs are then positive and finite.
+
+    The thresholds ``r2``, ``d1`` and ``d2`` can be far below the smallest
+    normal double (``d0 ** (1 / (s - 1 - xi))`` with ``xi`` close to
+    ``s - 1``).  Rounding them up would claim a larger threshold than the
+    estimates allow, so such inputs raise ``ValueError`` instead.
     """
     if not s > 1.0:
         raise ValueError("require s > 1")
@@ -696,6 +702,11 @@ def mass_bound_constants(s: float, xi: float, M: float, d_minus: float,
     d1 = min((r2 / alpha1) ** p, d_minus / alpha0)
     c1 = 2.0 ** (5.0 + s / 2.0) * alpha1 ** (s - 1.0) * (d_plus / d_minus)
     d2 = (5.0 / (2.0 ** 1.5 * alpha0)) * d1
+    if min(r2, d1, d2) < sys.float_info.min:
+        raise ValueError(
+            "thresholds r2, d1, d2 underflow double precision; "
+            "take xi further from s - 1"
+        )
     c2 = (
         25.0
         * c1

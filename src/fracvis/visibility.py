@@ -9,11 +9,19 @@ hit stays on a single segment, so one probe ray per interval determines the
 winner and the interval's boundary rays cut the exact visible sub-segment.
 Correctness does not depend on any resolution parameter.
 
-Ties where a ray meets two segments at the same distance (shared endpoints)
+Each probe's winner is a min-reduction over its candidates (the segments
+whose angular span contains it): the least hit parameter t, then, among
+candidates hitting at exactly that t, the lowest segment index.  So ties
+where a ray meets two segments at the same distance (shared endpoints)
 resolve to the lower segment index everywhere, which keeps every output
-byte-reproducible.  ``visible_oracle`` is the independent brute-force check,
-``first_hit`` casts single rays by brute force, and :class:`SegmentIndex`
-caches a curve's segment crossings so that many viewpoints share them.
+byte-reproducible, and the result does not depend on candidate order.
+Candidates are expanded in contiguous probe ranges of at most ``_CHUNK``
+(probe, segment) pairs, and crossing search expands its pairs in blocks of
+the same size, so memory stays bounded as curves get finer.
+
+``visible_oracle`` is the independent brute-force check, ``first_hit``
+casts single rays by brute force, and :class:`SegmentIndex` caches a
+curve's segment crossings so that many viewpoints share them.
 """
 
 from __future__ import annotations
@@ -85,18 +93,36 @@ class VisibleSet:
 def _ragged_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Concatenate arange(starts[i], ends[i]) for every i, vectorised."""
     counts = ends - starts
-    total = int(counts.sum())
-    if total == 0:
+    nonempty = counts > 0
+    s = starts[nonempty]
+    c = counts[nonempty]
+    if s.size == 0:
         return np.empty(0, dtype=np.int64)
-    group_first = np.cumsum(counts) - counts
-    out = np.repeat(starts, counts) + (
-        np.arange(total, dtype=np.int64) - np.repeat(group_first, counts)
-    )
-    return out
+    # Steps of 1 inside a range and a jump to the next range's start at each
+    # boundary, summed up.
+    out = np.ones(int(c.sum()), dtype=np.int64)
+    out[0] = s[0]
+    out[np.cumsum(c[:-1])] = s[1:] - (s[:-1] + c[:-1] - 1)
+    return np.cumsum(out, out=out)
 
 
-def _repeat_ids(ids: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    return np.repeat(ids, ends - starts)
+# Most (probe, segment) candidates, or crossing-search pairs, held at once.
+_CHUNK = 1 << 18
+
+
+def _blocks(counts: np.ndarray):
+    """Contiguous [i0, i1) ranges covering counts whose sums stay <= _CHUNK.
+
+    An item whose own count exceeds the budget gets a range of its own.
+    """
+    cum = np.cumsum(counts)
+    i0 = 0
+    done = 0
+    while i0 < counts.size:
+        i1 = max(int(np.searchsorted(cum, done + _CHUNK, side="right")), i0 + 1)
+        yield i0, i1
+        done = int(cum[i1 - 1])
+        i0 = i1
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +197,9 @@ def find_segment_crossings(curve: CurveApprox) -> np.ndarray:
     Pairs sharing an endpoint (chain neighbours) are skipped; collinear
     overlaps contribute nothing because their switch angles are already
     endpoint events.  Uses a sweep over bounding-box x-intervals, so the
-    cost is near-linear for curves without heavy box overlap.
+    cost is near-linear for curves without heavy box overlap.  The x-overlap
+    pairs are expanded in blocks of sorted segments of at most ``_CHUNK``
+    pairs; the points come out in the same order for any block size.
     """
     segs = curve.segments
     n = segs.shape[0]
@@ -183,18 +211,20 @@ def find_segment_crossings(curve: CurveApprox) -> np.ndarray:
     ymax = np.maximum(segs[:, 1], segs[:, 3])
     order = np.argsort(xmin, kind="stable")
     sx = xmin[order]
-    ends = np.searchsorted(sx, xmax[order], side="right")
     starts = np.arange(n, dtype=np.int64) + 1
-    pos_j = _ragged_ranges(starts, np.maximum(ends, starts))
-    pos_i = _repeat_ids(np.arange(n, dtype=np.int64), starts, np.maximum(ends, starts))
-    i = order[pos_i]
-    j = order[pos_j]
-    keep = ~((ymin[i] > ymax[j]) | (ymin[j] > ymax[i]))
-    i = i[keep]
-    j = j[keep]
-    if i.size == 0:
-        return np.empty((0, 2))
+    ends = np.maximum(np.searchsorted(sx, xmax[order], side="right"), starts)
+    counts = ends - starts
+    parts = []
+    for p0, p1 in _blocks(counts):
+        i = order[np.repeat(np.arange(p0, p1, dtype=np.int64), counts[p0:p1])]
+        j = order[_ragged_ranges(starts[p0:p1], ends[p0:p1])]
+        keep = ~((ymin[i] > ymax[j]) | (ymin[j] > ymax[i]))
+        parts.append(_pair_crossings(segs, i[keep], j[keep]))
+    return np.concatenate(parts)
 
+
+def _pair_crossings(segs: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Crossing points of segment pairs (i, j) that share no endpoint."""
     ai = segs[i, 0:2]
     bi = segs[i, 2:4]
     aj = segs[j, 0:2]
@@ -204,8 +234,6 @@ def find_segment_crossings(curve: CurveApprox) -> np.ndarray:
         shared |= np.hypot(p[:, 0] - q[:, 0], p[:, 1] - q[:, 1]) <= EPS_GEOM
     i = i[~shared]
     j = j[~shared]
-    if i.size == 0:
-        return np.empty((0, 2))
 
     ai = segs[i, 0:2]
     ei = segs[i, 2:4] - ai
@@ -225,10 +253,7 @@ def find_segment_crossings(curve: CurveApprox) -> np.ndarray:
         & (t >= -slack_i) & (t <= 1.0 + slack_i)
         & (u >= -slack_j) & (u <= 1.0 + slack_j)
     )
-    if not np.any(good):
-        return np.empty((0, 2))
-    pts = ai[good] + t[good, None] * ei[good]
-    return pts
+    return ai[good] + t[good, None] * ei[good]
 
 
 class SegmentIndex:
@@ -236,12 +261,15 @@ class SegmentIndex:
 
     The crossings are event angles for every ``visible_set`` call on the
     curve, so a sweep builds one index and passes it to each call instead
-    of recomputing them per viewpoint.
+    of recomputing them per viewpoint.  ``n_segments`` records the curve's
+    segment count, so ``visible_set`` can refuse an index built from a
+    curve of another size.
     """
 
     def __init__(self, curve: CurveApprox):
         if curve.is_point_cloud:
             raise ValueError("visibility requires a segment set")
+        self.n_segments = int(curve.segments.shape[0])
         self._crossings = find_segment_crossings(curve)
 
     def crossings(self) -> np.ndarray:
@@ -253,6 +281,54 @@ class SegmentIndex:
 # ---------------------------------------------------------------------------
 
 
+def _first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num) -> np.ndarray:
+    """Segment first hit by each probe ray, or -1 where the ray misses.
+
+    Probe k's candidates are the spans i with starts[i] <= k < stops[i],
+    each naming segment q_id[i]; a ray at (cos_p[k], sin_p[k]) meets the
+    line of segment s at t = num[s] / (cos_p[k] ey[s] - sin_p[k] ex[s]).
+    The winner is a min-reduction: least t, then the lowest segment index
+    among candidates at exactly that t.  Misses (t = inf) never win.
+    Candidates are expanded in contiguous probe ranges of at most _CHUNK
+    (or one probe's worth, if more); each range holds all of its probes'
+    candidates, so the ranges' reductions are independent and their sizes
+    bound the memory.  A span joins the live set at the range holding its
+    start and leaves it after the range holding its stop, so each range
+    touches only the spans that reach into it.
+    """
+    m = cos_p.size
+    n = ex.size
+    per_probe = np.cumsum(np.bincount(starts, minlength=m + 1)
+                          - np.bincount(stops, minlength=m + 1))[:m]
+    best_t = np.full(m, np.inf)
+    best_seg = np.full(m, n, dtype=np.int64)
+    by_start = np.argsort(starts)
+    sorted_starts = starts[by_start]
+    live = np.empty(0, dtype=np.int64)
+    for k0, k1 in _blocks(per_probe):
+        i0, i1 = np.searchsorted(sorted_starts, [k0, k1])
+        live = np.concatenate([live, by_start[i0:i1]])
+        lo_k = np.maximum(starts[live], k0)
+        hi_k = np.minimum(stops[live], k1)
+        cand_k = _ragged_ranges(lo_k, hi_k)
+        cand_seg = np.repeat(q_id[live], hi_k - lo_k)
+        # A probe strictly inside a span always meets its segment, so no
+        # extent check is needed here.  A zero denominator gives +-inf or
+        # nan, which the t > EPS_GEOM test turns into a miss like t <= 0.
+        denom = cos_p[cand_k] * ey[cand_seg]
+        denom -= sin_p[cand_k] * ex[cand_seg]
+        t = num[cand_seg]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t /= denom
+        t[~(t > EPS_GEOM)] = np.inf
+        np.minimum.at(best_t, cand_k, t)
+        # Ties at t = inf only touch uncovered probes, whose best_seg is unused.
+        tie = t == best_t[cand_k]
+        np.minimum.at(best_seg, cand_k[tie], cand_seg[tie])
+        live = live[stops[live] > k1]
+    return np.where(np.isfinite(best_t), best_seg, -1)
+
+
 def visible_set(curve: CurveApprox, x,
                 index: SegmentIndex | None = None) -> VisibleSet:
     """Exact visible part of the curve from x.
@@ -262,12 +338,16 @@ def visible_set(curve: CurveApprox, x,
     ``angular_coverage`` is the measure of directions whose ray meets the
     curve.  x must be strictly off the curve; point clouds are rejected.
     ``index``, when given, must have been built from this curve; it only
-    saves recomputing the crossings.
+    saves recomputing the crossings.  An index built from a curve with a
+    different segment count raises ValueError.
     """
     o = _xy(x)
     dist = _reject_bad_viewpoint(curve, o)
     segs = curve.segments
     n = segs.shape[0]
+    if index is not None and index.n_segments != n:
+        raise ValueError(f"segment index built from a curve of {index.n_segments} "
+                         f"segments; this curve has {n}")
 
     pa = np.mod(np.arctan2(segs[:, 1] - o[1], segs[:, 0] - o[0]), TWO_PI)
     pb = np.mod(np.arctan2(segs[:, 3] - o[1], segs[:, 2] - o[0]), TWO_PI)
@@ -308,41 +388,19 @@ def visible_set(curve: CurveApprox, x,
     q_id = np.concatenate([seg_ids, seg_ids[wrap]])
 
     starts = np.searchsorted(probes, q_lo, side="right")
-    stops = np.searchsorted(probes, q_hi, side="left")
-    stops = np.maximum(stops, starts)
-    cand_k = _ragged_ranges(starts, stops)
-    cand_seg = _repeat_ids(q_id, starts, stops)
-    if cand_k.size == 0:
-        return VisibleSet(vp, [], 0.0, 0.0)
+    stops = np.maximum(np.searchsorted(probes, q_hi, side="left"), starts)
 
     ang = np.mod(probes, TWO_PI)
     cos_p = np.cos(ang)
     sin_p = np.sin(ang)
-    # Line-hit parameter: a probe strictly inside a span always meets its
-    # segment, so no extent check is needed here.
-    a_s = segs[cand_seg]
-    ex = a_s[:, 2] - a_s[:, 0]
-    ey = a_s[:, 3] - a_s[:, 1]
-    wx = a_s[:, 0] - o[0]
-    wy = a_s[:, 1] - o[1]
-    denom = cos_p[cand_k] * ey - sin_p[cand_k] * ex
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_cand = (wx * ey - wy * ex) / denom
-    t_cand = np.where((denom != 0.0) & (t_cand > EPS_GEOM), t_cand, np.inf)
-
-    order = np.lexsort((cand_seg, t_cand, cand_k))
-    ks = cand_k[order]
-    first = np.ones(ks.size, dtype=bool)
-    first[1:] = ks[1:] != ks[:-1]
-    win_k = ks[first]
-    win_t = t_cand[order][first]
-    win_seg = cand_seg[order][first]
-    finite = np.isfinite(win_t)
-    win_k = win_k[finite]
-    win_seg = win_seg[finite]
-
-    winner = np.full(m, -1, dtype=np.int64)
-    winner[win_k] = win_seg
+    # Per segment e = b - a and num = (a - o) x e, so a ray at angle theta
+    # meets the segment's line at t = num / (cos(theta) ey - sin(theta) ex).
+    ex = segs[:, 2] - segs[:, 0]
+    ey = segs[:, 3] - segs[:, 1]
+    num = (segs[:, 0] - o[0]) * ey - (segs[:, 1] - o[1]) * ex
+    # Each probe's winner: least t, then lowest segment index at that t,
+    # found in probe ranges of at most _CHUNK candidates.
+    winner = _first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num)
     covered = winner >= 0
 
     angular_coverage = float(np.sum(widths[covered]))
@@ -353,53 +411,35 @@ def visible_set(curve: CurveApprox, x,
     # Boundary hit points of each covered interval on its winning segment.
     kc = np.nonzero(covered)[0]
     sc = winner[kc]
-    a_s = segs[sc]
-    ex = a_s[:, 2] - a_s[:, 0]
-    ey = a_s[:, 3] - a_s[:, 1]
-    wx = a_s[:, 0] - o[0]
-    wy = a_s[:, 1] - o[1]
 
     def line_hit(theta):
         c = np.cos(np.mod(theta, TWO_PI))
         s = np.sin(np.mod(theta, TWO_PI))
-        t = (wx * ey - wy * ex) / (c * ey - s * ex)
+        t = num[sc] / (c * ey[sc] - s * ex[sc])
         return o[0] + t * c, o[1] + t * s
 
     px_lo, py_lo = line_hit(e_lo[kc])
     px_hi, py_hi = line_hit(e_hi[kc])
 
     # Merge circular runs of consecutive covered intervals with one winner.
-    pos_of = np.full(m, -1, dtype=np.int64)
-    pos_of[kc] = np.arange(kc.size)
+    # Outside a break, position p continues the run of p - 1; positions
+    # before the first break can only continue the last run across the
+    # wrap (then kc[0] = 0 and kc[-1] = m - 1).
     prev = (kc - 1) % m
     breaks = (~covered[prev]) | (winner[prev] != sc) | (widths[kc] <= 0.0)
     if not np.any(breaks):
         breaks[0] = True  # fully surrounded by one segment cannot happen; guard
     run_starts = np.nonzero(breaks)[0]
+    run_ends = np.append(run_starts[1:], kc.size) - 1
+    if not breaks[0]:
+        run_ends[-1] = run_starts[0] - 1
 
-    pieces: list[VisiblePiece] = []
-    used = np.zeros(kc.size, dtype=bool)
-    for r0 in run_starts:
-        if used[r0]:
-            continue
-        idx = int(r0)
-        start_pt = (float(px_lo[idx]), float(py_lo[idx]))
-        last = idx
-        used[idx] = True
-        # Walk forward through circularly consecutive covered intervals.
-        while True:
-            k_next = (kc[last] + 1) % m
-            p_next = pos_of[k_next]
-            if p_next < 0 or breaks[p_next] or used[p_next]:
-                break
-            used[p_next] = True
-            last = int(p_next)
-        end_pt = (float(px_hi[last]), float(py_hi[last]))
-        seg_idx = int(sc[idx])
-        length = math.hypot(end_pt[0] - start_pt[0], end_pt[1] - start_pt[1])
-        if length > EPS_GEOM:
-            pieces.append(VisiblePiece(seg_idx, start_pt, end_pt))
-
+    pieces = [
+        VisiblePiece(int(sc[r0]), (float(px_lo[r0]), float(py_lo[r0])),
+                     (float(px_hi[r1]), float(py_hi[r1])))
+        for r0, r1 in zip(run_starts, run_ends)
+    ]
+    pieces = [p for p in pieces if p.length > EPS_GEOM]
     pieces.sort(key=lambda p: (p.segment_index, p.start, p.end))
     total_length = float(np.sum([p.length for p in pieces])) if pieces else 0.0
     return VisibleSet(vp, pieces, total_length, angular_coverage)

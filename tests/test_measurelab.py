@@ -1,10 +1,12 @@
 """Mass profiles, energies, dimension estimators, and the constants chain."""
 
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracvis.fractals import (
@@ -330,6 +332,25 @@ def test_mass_bound_constants_rejects_bad_inputs():
         mass_bound_constants(2.0, 0.5, -1.0, 1.0, 1.0, 1.0)
 
 
+def _smallest_threshold_exact(s, xi, M, d_minus, d_plus, r1):
+    """min(r2, d1, d2) of the constants chain in Decimal, which has no
+    double-precision underflow."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        s, xi, M, d_minus, d_plus, r1 = map(
+            Decimal, (s, xi, M, d_minus, d_plus, r1))
+        two = Decimal(2)
+        p = 2 + xi - s
+        d0 = (M / 12) * two ** (-s / 2)
+        r2 = min(r1 / two.sqrt(), (Decimal(3).sqrt() / 2) * d_minus,
+                 (d_minus / d0) ** (1 / p), d0 ** (1 / (s - 1 - xi)))
+        alpha0 = 60 * d_plus / d_minus
+        alpha1 = ((alpha0 + 1) / d0) ** (1 / p)
+        d1 = min((r2 / alpha1) ** p, d_minus / alpha0)
+        d2 = (5 / (two ** Decimal("1.5") * alpha0)) * d1
+        return min(r2, d1, d2)
+
+
 @given(
     s=st.floats(1.05, 1.95),
     xi_frac=st.floats(0.05, 0.95),
@@ -338,9 +359,15 @@ def test_mass_bound_constants_rejects_bad_inputs():
     ratio=st.floats(1.0, 10.0),
     r1=st.floats(0.01, 1.0),
 )
+@example(s=1.0546875, xi_frac=0.9375, M=1.0, d_minus=1.0, ratio=1.0, r1=1.0)
 def test_mass_bound_constants_invariants(s, xi_frac, M, d_minus, ratio, r1):
     xi = xi_frac * (s - 1.0)
     if not (0.0 < xi < s - 1.0):
+        return
+    exact = _smallest_threshold_exact(s, xi, M, d_minus, d_minus * ratio, r1)
+    if exact < Decimal(sys.float_info.min):
+        with pytest.raises(ValueError, match="underflow"):
+            mass_bound_constants(s, xi, M, d_minus, d_minus * ratio, r1)
         return
     c = mass_bound_constants(s, xi, M, d_minus, d_minus * ratio, r1)
     vals = [c.d0, c.r2, c.alpha0, c.alpha1, c.d1, c.c1, c.d2, c.c2]

@@ -2,19 +2,26 @@
 
 import json
 import math
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from fracvis import visibility
 from fracvis.fractals import (
     cantor_cross,
     circle,
     from_segments,
     polyline,
 )
-from fracvis.geom import arc_diam, point_segments_dist
+from fracvis.geom import EPS_GEOM, arc_diam, point_segments_dist
 from fracvis.visibility import (
     SegmentIndex,
+    find_segment_crossings,
     first_hit,
     first_hit_batch,
     read_visible_set,
@@ -226,12 +233,16 @@ def test_sample_visible_rejects_bad_n(unit_segment):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("x", [(4.0, 0.1), (0.2, 3.0), (-3.0, -0.5)])
-def test_crossing_cache_on_self_crossing_soup(x):
+def _self_crossing_soup():
     # an X crossing at the origin, plus a short wall that hides part of it
-    soup = from_segments(
+    return from_segments(
         [[-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, -1.0], [2.0, -0.3, 2.0, 0.3]]
     )
+
+
+@pytest.mark.parametrize("x", [(4.0, 0.1), (0.2, 3.0), (-3.0, -0.5)])
+def test_crossing_cache_on_self_crossing_soup(x):
+    soup = _self_crossing_soup()
     index = SegmentIndex(soup)
     assert index.crossings() == pytest.approx(np.array([[0.0, 0.0]]))
     cached = visible_set(soup, x, index)
@@ -242,6 +253,11 @@ def test_crossing_cache_on_self_crossing_soup(x):
     eps = soup.min_seg_len / 100.0
     for p in pts:
         assert visible_oracle(soup, x, tuple(p), eps=eps)
+
+
+def test_visible_set_rejects_index_of_another_curve(koch5, square):
+    with pytest.raises(ValueError, match="segment index built from a curve of 4"):
+        visible_set(koch5, (0.5, -1.5), SegmentIndex(square))
 
 
 def test_visible_pieces_subsets_of_parents_level7(koch7):
@@ -280,3 +296,119 @@ def test_visible_set_json_keys(square):
         "viewpoint",
     ]
     assert all(len(row) == 5 for row in doc["pieces"])
+
+
+# ---------------------------------------------------------------------------
+# winner rule and chunking
+# ---------------------------------------------------------------------------
+
+
+def _lexsort_first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num):
+    """The sort-based winner rule: every candidate at once, then a lexsort."""
+    cand_k = np.array([k for a, b in zip(starts, stops) for k in range(a, b)],
+                      dtype=np.int64)
+    cand_seg = np.repeat(q_id, stops - starts)
+    winner = np.full(cos_p.size, -1, dtype=np.int64)
+    if cand_k.size == 0:
+        return winner
+    denom = cos_p[cand_k] * ey[cand_seg] - sin_p[cand_k] * ex[cand_seg]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = num[cand_seg] / denom
+    t = np.where((denom != 0.0) & (t > EPS_GEOM), t, np.inf)
+    order = np.lexsort((cand_seg, t, cand_k))
+    ks = cand_k[order]
+    first = np.ones(ks.size, dtype=bool)
+    first[1:] = ks[1:] != ks[:-1]
+    finite = np.isfinite(t[order][first])
+    winner[ks[first][finite]] = cand_seg[order][first][finite]
+    return winner
+
+
+_grid_point = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+@st.composite
+def _grid_curves(draw):
+    # Coarse integer coordinates make shared endpoints, collinear overlaps,
+    # crossings and rays through several vertices common.
+    if draw(st.booleans()):
+        pts = draw(st.lists(_grid_point, min_size=2, max_size=7))
+        assume(all(p != q for p, q in zip(pts, pts[1:])))
+        return polyline(pts)
+    segs = draw(st.lists(st.tuples(_grid_point, _grid_point), min_size=1, max_size=6))
+    assume(all(a != b for a, b in segs))
+    return from_segments([[*a, *b] for a, b in segs])
+
+
+@given(curve=_grid_curves(),
+       x=st.tuples(st.integers(-4, 12), st.integers(-4, 12)))
+def test_min_reduction_matches_lexsort_winners(curve, x):
+    x = (x[0] / 2.0, x[1] / 2.0)
+    try:
+        got = visible_set(curve, x)
+    except ValueError:
+        assume(False)
+    with mock.patch.object(visibility, "_first_hits", _lexsort_first_hits):
+        want = visible_set(curve, x)
+    assert got.pieces == want.pieces
+    assert got.angular_coverage == want.angular_coverage
+
+
+def _crossing_soup():
+    rng = np.random.default_rng(7)
+    return from_segments(rng.uniform(0.0, 1.0, size=(60, 4)))
+
+
+@pytest.mark.parametrize("chunk", [1, 300])
+def test_chunked_expansion_matches_unchunked(koch5, chunk):
+    soups = [_self_crossing_soup(), _crossing_soup()]
+    views = [(koch5, (0.5, -1.5)), (koch5, (0.3, 2.0)), (koch5, (-1.0, 0.2)),
+             (soups[0], (4.0, 0.1)), (soups[0], (0.2, 3.0)),
+             (soups[1], (0.5, 1.7)), (soups[1], (-0.4, 0.3))]
+    whole_x = [find_segment_crossings(c) for c in (koch5, *soups)]
+    whole_vs = [visible_set(c, x) for c, x in views]
+    assert whole_x[2].shape[0] > 100
+    with mock.patch.object(visibility, "_CHUNK", chunk):
+        for c, want in zip((koch5, *soups), whole_x):
+            got = find_segment_crossings(c)
+            assert got.tobytes() == want.tobytes()
+        for (c, x), want in zip(views, whole_vs):
+            got = visible_set(c, x)
+            assert got.pieces == want.pieces
+            assert got.angular_coverage == want.angular_coverage
+
+
+def test_blocks_cover_in_order_within_budget():
+    counts = np.array([0, 5, 3, 0, 9, 1, 1, 0, 4, 12, 0])
+    with mock.patch.object(visibility, "_CHUNK", 8):
+        blocks = list(visibility._blocks(counts))
+    assert blocks[0][0] == 0 and blocks[-1][1] == counts.size
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    for i0, i1 in blocks:
+        assert i1 > i0
+        assert counts[i0:i1].sum() <= 8 or i1 - i0 == 1
+
+
+# On Linux a child's ru_maxrss starts from its launcher's peak (fork and exec
+# carry it over), so under a large test process it reads the launcher's size.
+# VmHWM is the peak of the child's own address space.
+_MEMORY_PROBE = """
+from fracvis.fractals import koch_generalized
+from fracvis.harness import ViewpointPlan, plan_viewpoints
+from fracvis.visibility import SegmentIndex, visible_set
+curve = koch_generalized(1.5, 8)
+index = SegmentIndex(curve)
+x = plan_viewpoints(curve, ViewpointPlan(mode="grid", count=4), 0)[0]
+assert visible_set(curve, x, index).pieces
+with open("/proc/self/status") as fh:
+    print(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_level8_visible_set_peak_rss_is_bounded():
+    # Expanding all ~3M candidates of this view at once peaked near 480 MB.
+    out = subprocess.run([sys.executable, "-c", _MEMORY_PROBE], check=True,
+                         capture_output=True, text=True, timeout=300)
+    peak_mb = int(out.stdout.split()[-1]) / 1024.0
+    assert peak_mb <= 300.0
