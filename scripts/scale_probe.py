@@ -1,11 +1,12 @@
-"""Time and memory of the visibility layers on Koch d=1.5 curves by level.
+"""Time and memory of the set-up and visibility layers on Koch d=1.5 curves by level.
 
 Usage:
 
     python3 scripts/scale_probe.py 8 9 10
 
 Each level runs in a fresh interpreter.  It builds
-``koch_generalized(1.5, LEVEL)``, then its ``SegmentIndex``, then one
+``koch_generalized(1.5, LEVEL)``, box-counts it (``box_dimension(curve)``,
+the sweep's d_hat), builds its ``SegmentIndex``, then computes one
 ``visible_set`` from the first ring viewpoint of ``plan_viewpoints``
 (seed 0), and prints the wall time of each step and the process's
 ``ru_maxrss`` after it.  The launcher imports neither numpy nor fracvis,
@@ -34,6 +35,7 @@ def _rss_mb() -> float:
 def _probe(level: int) -> None:
     from fracvis.fractals import koch_generalized
     from fracvis.harness import ViewpointPlan, plan_viewpoints
+    from fracvis.measurelab import box_dimension
     from fracvis.visibility import SegmentIndex, visible_set
 
     def report(step: str, t0: float, detail: str) -> None:
@@ -43,6 +45,9 @@ def _probe(level: int) -> None:
     t0 = time.perf_counter()
     curve = koch_generalized(KOCH_DIM, level)
     report("generate", t0, f"{curve.segments.shape[0]} segments")
+    t0 = time.perf_counter()
+    d_hat = box_dimension(curve)
+    report("d_hat", t0, f"{d_hat.value:.4f} over {d_hat.n_scales} scales")
     t0 = time.perf_counter()
     index = SegmentIndex(curve)
     report("SegmentIndex", t0, f"{index.crossings().shape[0]} crossings")

@@ -403,10 +403,10 @@ def hit_t_elementwise(ox, oy, dx, dy, ax, ay, bx, by) -> np.ndarray:
     endpoint beyond the origin.  Hits at t <= EPS_GEOM are discarded so a
     ray never reports its own origin.
 
-    This is the kernel of every brute-force ray query: the helpers below,
-    ``first_hit`` and the visibility oracle.  The visibility sweep computes
-    its own line hits, since a probe inside a segment's angular span always
-    meets that segment.
+    This is the kernel of every brute-force ray query: ``ray_segment_hit``
+    below, ``visibility.first_hit`` and the visibility oracle.  The
+    visibility sweep computes its own line hits, since a probe inside a
+    segment's angular span always meets that segment.
     """
     ex = bx - ax
     ey = by - ay
@@ -438,13 +438,6 @@ def hit_t_elementwise(ox, oy, dx, dy, ax, ay, bx, by) -> np.ndarray:
     return out
 
 
-def ray_segments_hit_t(ox: float, oy: float, dx: float, dy: float,
-                       segs: np.ndarray) -> np.ndarray:
-    """Hit parameters of one unit-direction ray against (n, 4) segment rows."""
-    return hit_t_elementwise(ox, oy, dx, dy,
-                             segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3])
-
-
 def ray_segment_hit(origin, theta: float, seg) -> float | None:
     """Smallest t > 0 with origin + t (cos theta, sin theta) on the segment.
 
@@ -453,10 +446,10 @@ def ray_segment_hit(origin, theta: float, seg) -> float | None:
     """
     o = _xy(origin)
     if isinstance(seg, Segment):
-        arr = seg.as_array()[None, :]
-    else:
-        arr = np.asarray(seg, dtype=float).reshape(1, 4)
-    t = ray_segments_hit_t(o[0], o[1], math.cos(theta), math.sin(theta), arr)[0]
+        seg = seg.as_array()
+    ax, ay, bx, by = np.asarray(seg, dtype=float).reshape(4)
+    t = hit_t_elementwise(o[0], o[1], math.cos(theta), math.sin(theta),
+                          ax, ay, bx, by)
     return None if not np.isfinite(t) else float(t)
 
 
@@ -476,6 +469,31 @@ def point_segments_dist(p, segs: np.ndarray) -> np.ndarray:
     cx = ax + tproj * ex
     cy = ay + tproj * ey
     return np.hypot(o[0] - cx, o[1] - cy)
+
+
+# ---------------------------------------------------------------------------
+# Ragged ranges
+# ---------------------------------------------------------------------------
+
+
+def _ragged_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Concatenate arange(starts[i], ends[i]) for every i, vectorised.
+
+    The one expansion behind the visibility sweep's candidates, crossing
+    search's segment pairs and box counting's grid-line crossings.
+    """
+    counts = ends - starts
+    nonempty = counts > 0
+    s = starts[nonempty]
+    c = counts[nonempty]
+    if s.size == 0:
+        return np.empty(0, dtype=np.int64)
+    # Steps of 1 inside a range and a jump to the next range's start at each
+    # boundary, summed up.
+    out = np.ones(int(c.sum()), dtype=np.int64)
+    out[0] = s[0]
+    out[np.cumsum(c[:-1])] = s[1:] - (s[:-1] + c[:-1] - 1)
+    return np.cumsum(out, out=out)
 
 
 # ---------------------------------------------------------------------------

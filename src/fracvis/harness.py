@@ -153,7 +153,11 @@ class ViewpointPlan:
 
 @dataclass(frozen=True)
 class EstimatorPlan:
-    """Box-count scale policy: auto window per curve, or a fixed one."""
+    """Box-count scale policy: auto window per curve, or a fixed one.
+
+    A scale window goes with the fixed policy only; auto, which picks each
+    curve's own window, refuses one rather than ignore it.
+    """
 
     scale_policy: str = "auto"
     n_scales: int | None = None
@@ -164,6 +168,9 @@ class EstimatorPlan:
             raise ValueError("scale policy must be auto or fixed")
         if self.scale_policy == "fixed" and self.scale_window is None:
             raise ValueError("fixed scale policy needs a scale window")
+        if self.scale_policy == "auto" and self.scale_window is not None:
+            raise ValueError("auto scale policy takes no scale window; "
+                             "use scale_policy fixed")
         if self.n_scales is not None and self.n_scales < 4:
             raise ValueError("need at least 4 scales for a usable fit")
         if self.scale_window is not None:

@@ -3,7 +3,11 @@
 Three estimators, all reporting goodness of fit:
 
 * ``box_dimension``: occupied-cell counts over origin-anchored dyadic grids,
-  least-squares slope of log N(eps) against log(1/eps).
+  least-squares slope of log N(eps) against log(1/eps).  Point input counts
+  the cells holding points.  Curve input is rasterised exactly in one
+  vectorised pass: every segment's grid-line crossings are listed at once
+  (``geom._ragged_ranges``), sorted along the segment, and stepped through,
+  with one diagonal step at each grid corner.
 * ``energy_dimension``: the largest exponent s whose discrete Riesz energy
   stays bounded as the sample grows (growth slope below
   ``ENERGY_SLOPE_THRESHOLD``), interpolated at the crossing.
@@ -32,6 +36,7 @@ from .geom import (
     Cone,
     ParallelTube,
     RadialTube,
+    _ragged_ranges,
     _xy,
 )
 
@@ -472,61 +477,64 @@ def energy_dimension(curve: CurveApprox, s_grid=None, n_grid=None,
 # ---------------------------------------------------------------------------
 
 
+def _count_cells(cells: np.ndarray) -> int:
+    """Number of distinct rows of an (n, 2) integer cell array."""
+    cells = cells[np.lexsort((cells[:, 1], cells[:, 0]))]
+    new = np.ones(cells.shape[0], dtype=bool)
+    new[1:] = np.any(cells[1:] != cells[:-1], axis=1)
+    return int(np.count_nonzero(new))
+
+
 def _cells_of_points(pts: np.ndarray, eps: float) -> int:
-    cells = np.floor(pts / eps).astype(np.int64)
-    return np.unique(cells, axis=0).shape[0]
+    return _count_cells(np.floor(pts / eps).astype(np.int64))
 
 
 def _cells_of_segments(segs: np.ndarray, eps: float) -> int:
-    """Exact count of grid cells met by the segments (origin-anchored grid)."""
-    a = np.floor(segs[:, 0:2] / eps).astype(np.int64)
-    b = np.floor(segs[:, 2:4] / eps).astype(np.int64)
+    """Exact count of grid cells met by the segments (origin-anchored grid).
+
+    A cell counts when its closed square meets a segment in positive length;
+    a segment lying on a grid line goes to the cell above it or to its
+    right.  Each segment starts in the cell of its first endpoint and, on
+    each axis, crosses the grid lines min(a, b)+1 .. max(a, b) between its
+    end cells a and b.  Sorted by their parameters t = (line eps - x1) / dx,
+    the crossings step one cell in x or in y; an x- and a y-crossing at the
+    same t (a grid corner) make one diagonal step.  Every t is computed
+    directly from its line, so no error accumulates along a segment.
+    """
+    n = segs.shape[0]
+    p = segs[:, 0:2]
+    q = segs[:, 2:4]
+    d = q - p
+    a = np.floor(p / eps).astype(np.int64)
+    b = np.floor(q / eps).astype(np.int64)
     # An endpoint sitting exactly on a grid line contributes zero length to the
     # cell ahead of it; assign it to the cell the segment actually occupies.
-    dx = segs[:, 2] - segs[:, 0]
-    dy = segs[:, 3] - segs[:, 1]
-    b[:, 0] -= (dx > 0) & (segs[:, 2] == b[:, 0] * eps)
-    b[:, 1] -= (dy > 0) & (segs[:, 3] == b[:, 1] * eps)
-    a[:, 0] -= (dx < 0) & (segs[:, 0] == a[:, 0] * eps)
-    a[:, 1] -= (dy < 0) & (segs[:, 1] == a[:, 1] * eps)
-    same = np.all(a == b, axis=1)
-    cells = [a[same]]
-    walkers = np.nonzero(~same)[0]
-    extra = []
-    for i in walkers:
-        x1, y1, x2, y2 = segs[i]
-        ix, iy = int(a[i, 0]), int(a[i, 1])
-        jx, jy = int(b[i, 0]), int(b[i, 1])
-        extra.append((ix, iy))
-        dx = x2 - x1
-        dy = y2 - y1
-        step_x = 1 if dx > 0 else -1
-        step_y = 1 if dy > 0 else -1
-        # Parameter values of the next vertical / horizontal grid line.
-        tx = ((ix + (step_x > 0)) * eps - x1) / dx if dx != 0.0 else math.inf
-        ty = ((iy + (step_y > 0)) * eps - y1) / dy if dy != 0.0 else math.inf
-        dtx = abs(eps / dx) if dx != 0.0 else math.inf
-        dty = abs(eps / dy) if dy != 0.0 else math.inf
-        guard = 0
-        limit = abs(jx - ix) + abs(jy - iy) + 4
-        while (ix, iy) != (jx, jy) and guard < limit:
-            if tx < ty:
-                ix += step_x
-                tx += dtx
-            elif ty < tx:
-                iy += step_y
-                ty += dty
-            else:
-                ix += step_x
-                iy += step_y
-                tx += dtx
-                ty += dty
-            extra.append((ix, iy))
-            guard += 1
-    if extra:
-        cells.append(np.array(extra, dtype=np.int64))
-    allc = np.vstack(cells)
-    return np.unique(allc, axis=0).shape[0]
+    b -= (d > 0) & (q == b * eps)
+    a -= (d < 0) & (p == a * eps)
+    # The grid lines crossed: the x-lines of every segment, then the y-lines.
+    n_cross = np.abs(b - a)
+    counts = n_cross.T.ravel()
+    lo = (np.minimum(a, b) + 1).T.ravel()
+    line = _ragged_ranges(lo, lo + counts)
+    seg = np.repeat(np.tile(np.arange(n), 2), counts)
+    axis = np.repeat(np.repeat([0, 1], n), counts)
+    t = (line * eps - p[seg, axis]) / d[seg, axis]
+    order = np.lexsort((t, seg))
+    seg, axis, t = seg[order], axis[order], t[order]
+    # Walk each segment from its start cell: a global running sum of the
+    # steps, less its value before the segment's first crossing.
+    steps = np.zeros((seg.size, 2), dtype=np.int64)
+    steps[np.arange(seg.size), axis] = np.sign(d[seg, axis])
+    walk = np.cumsum(steps, axis=0)
+    per_seg = n_cross.sum(axis=1)
+    first = np.cumsum(per_seg) - per_seg
+    cells = a[seg] + walk - (walk - steps)[first[seg]]
+    # At a grid corner the cell between the x- and the y-step is met in a
+    # single point only.
+    keep = np.ones(seg.size, dtype=bool)
+    keep[:-1] = (seg[:-1] != seg[1:]) | (t[:-1] != t[1:]) | (axis[:-1] == axis[1:])
+    cells = cells[keep]
+    return _count_cells(np.vstack([a, cells]))
 
 
 def dyadic_scales(scale_window: tuple[float, float],

@@ -15,13 +15,16 @@ candidates hitting at exactly that t, the lowest segment index.  So ties
 where a ray meets two segments at the same distance (shared endpoints)
 resolve to the lower segment index everywhere, which keeps every output
 byte-reproducible, and the result does not depend on candidate order.
-Candidates are expanded in contiguous probe ranges of at most ``_CHUNK``
-(probe, segment) pairs, and crossing search expands its pairs in blocks of
-the same size, so memory stays bounded as curves get finer.
+Candidates are expanded (by ``geom._ragged_ranges``) in contiguous probe
+ranges of at most ``_CHUNK`` (probe, segment) pairs, and crossing search
+expands its pairs in blocks of the same size, so memory stays bounded as
+curves get finer.
 
-``visible_oracle`` is the independent brute-force check, ``first_hit``
-casts single rays by brute force, and :class:`SegmentIndex` caches a
-curve's segment crossings so that many viewpoints share them.
+``visible_oracle`` is the independent brute-force check.  ``first_hit``
+casts a single ray by brute force: one ``geom.hit_t_elementwise`` call
+over all segments, whose first minimum breaks ties to the lower segment
+index as the sweep does.  :class:`SegmentIndex` caches a curve's segment
+crossings so that many viewpoints share them.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .fractals import CurveApprox, DiscreteMeasure, points_at_arclength
 from .geom import (
     EPS_GEOM,
     TWO_PI,
+    _ragged_ranges,
     _xy,
     hit_t_elementwise,
     point_segments_dist,
@@ -86,25 +90,8 @@ class VisibleSet:
 
 
 # ---------------------------------------------------------------------------
-# Ragged range helper
+# Expansion budget
 # ---------------------------------------------------------------------------
-
-
-def _ragged_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Concatenate arange(starts[i], ends[i]) for every i, vectorised."""
-    counts = ends - starts
-    nonempty = counts > 0
-    s = starts[nonempty]
-    c = counts[nonempty]
-    if s.size == 0:
-        return np.empty(0, dtype=np.int64)
-    # Steps of 1 inside a range and a jump to the next range's start at each
-    # boundary, summed up.
-    out = np.ones(int(c.sum()), dtype=np.int64)
-    out[0] = s[0]
-    out[np.cumsum(c[:-1])] = s[1:] - (s[:-1] + c[:-1] - 1)
-    return np.cumsum(out, out=out)
-
 
 # Most (probe, segment) candidates, or crossing-search pairs, held at once.
 _CHUNK = 1 << 18
@@ -130,51 +117,26 @@ def _blocks(counts: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _lex_update(best_t, best_seg, t, seg):
-    # Misses (t = inf) never tie: the sentinel segment index must survive.
-    better = (t < best_t) | (np.isfinite(t) & (t == best_t) & (seg < best_seg))
-    best_t[better] = t[better]
-    best_seg[better] = seg[better]
+def first_hit(curve: CurveApprox, x, theta: float) -> HitRecord | None:
+    """First curve point met by the ray from x in direction theta, or None.
 
-
-def first_hit_batch(curve: CurveApprox, x, thetas):
-    """First-hit parameters and segment indices for rays from one origin.
-
-    Returns (t, seg) arrays; misses carry t = +inf and seg = n_segments.
     Ties at equal distance go to the lower segment index.
     """
     o = _xy(x)
-    th = np.asarray(thetas, dtype=float)
     _reject_bad_viewpoint(curve, o)
-    dx = np.cos(th)
-    dy = np.sin(th)
+    dx = math.cos(theta)
+    dy = math.sin(theta)
     segs = curve.segments
-    n = segs.shape[0]
-    best_t = np.full(th.size, np.inf)
-    best_seg = np.full(th.size, n, dtype=np.int64)
-    chunk = max(1, int(4e6 / max(th.size, 1)))
-    for s0 in range(0, n, chunk):
-        sub = segs[s0 : s0 + chunk]
-        t = hit_t_elementwise(
-            o[0], o[1], dx[:, None], dy[:, None],
-            sub[None, :, 0], sub[None, :, 1], sub[None, :, 2], sub[None, :, 3],
-        )
-        j = np.argmin(t, axis=1)
-        rows = np.arange(th.size)
-        _lex_update(best_t, best_seg, t[rows, j], j + s0)
-    return best_t, best_seg
-
-
-def first_hit(curve: CurveApprox, x, theta: float) -> HitRecord | None:
-    """First curve point met by the ray from x in direction theta, or None."""
-    o = _xy(x)
-    t, seg = first_hit_batch(curve, o, [theta])
-    if not np.isfinite(t[0]):
+    t = hit_t_elementwise(o[0], o[1], dx, dy,
+                          segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3])
+    # argmin returns the first minimum, so ties go to the lower index.
+    j = int(np.argmin(t))
+    if not np.isfinite(t[j]):
         return None
-    px = o[0] + t[0] * math.cos(theta)
-    py = o[1] + t[0] * math.sin(theta)
-    return HitRecord(theta=float(theta), t=float(t[0]), point=(float(px), float(py)),
-                     segment_index=int(seg[0]))
+    tj = float(t[j])
+    return HitRecord(theta=float(theta), t=tj,
+                     point=(float(o[0] + tj * dx), float(o[1] + tj * dy)),
+                     segment_index=j)
 
 
 def _reject_bad_viewpoint(curve: CurveApprox, o: np.ndarray) -> float:

@@ -142,6 +142,18 @@ def test_estimator_plan_validation():
         EstimatorPlan(n_scales=2)
 
 
+def test_estimator_plan_rejects_window_under_auto_policy():
+    # The auto policy picks each curve's own window; a window given with it
+    # (as in a config that names scale_window but no policy) was ignored.
+    with pytest.raises(ValueError, match="auto scale policy"):
+        EstimatorPlan(scale_window=(0.01, 0.1))
+    with pytest.raises(ValueError, match="auto scale policy"):
+        EstimatorPlan.from_dict({"scale_window": [0.01, 0.1]})
+    plan = EstimatorPlan.from_dict({"scale_policy": "fixed",
+                                    "scale_window": [0.01, 0.1]})
+    assert plan.scale_window == (0.01, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------

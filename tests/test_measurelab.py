@@ -3,6 +3,7 @@
 import math
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from fracvis.fractals import (
 from fracvis.geom import Annulus, Cone, ParallelTube, Point, RadialTube
 from fracvis.measurelab import (
     DimEstimate,
+    _cells_of_segments,
     ball_mass,
     box_dimension,
     check_frostman,
@@ -238,6 +240,53 @@ def test_box_dimension_random_points_fill_the_plane():
     pts = np.random.default_rng(42).random((10000, 2))
     est = box_dimension(pts, scale_window=(1 / 64, 1 / 4))
     assert est.value == pytest.approx(2.0, abs=0.1)
+
+
+def _cells_met_exact(seg, eps: Fraction) -> set:
+    """Cells of the origin-anchored eps-grid met by a segment, in exact arithmetic.
+
+    A cell counts when its closed square meets the segment in positive
+    length.  On an axis where the segment does not move, only the cell
+    holding its coordinate by the floor rule counts, so a segment lying on
+    a grid line goes to the cell above it or to its right.
+    """
+    x1, y1, x2, y2 = seg
+    ranges = [range(math.floor(min(u, v) / eps) - 1, math.floor(max(u, v) / eps) + 2)
+              for u, v in ((x1, x2), (y1, y2))]
+    cells = set()
+    for i in ranges[0]:
+        for j in ranges[1]:
+            lo, hi = Fraction(0), Fraction(1)
+            for u, du, c in ((x1, x2 - x1, i * eps), (y1, y2 - y1, j * eps)):
+                if du == 0:
+                    if not c <= u < c + eps:
+                        lo, hi = Fraction(1), Fraction(0)
+                else:
+                    ta, tb = sorted(((c - u) / du, (c + eps - u) / du))
+                    lo, hi = max(lo, ta), min(hi, tb)
+            if hi > lo:
+                cells.add((i, j))
+    return cells
+
+
+_EIGHTHS = st.integers(-16, 16).map(lambda k: Fraction(k, 8))
+_SEGMENTS = st.tuples(_EIGHTHS, _EIGHTHS, _EIGHTHS, _EIGHTHS).filter(
+    lambda s: s[:2] != s[2:])
+
+
+@given(
+    segs=st.lists(_SEGMENTS, min_size=1, max_size=3),
+    eps=st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+)
+@example(segs=[(Fraction(2), Fraction(0), Fraction(1, 2), Fraction(1, 4))],
+         eps=Fraction(1, 8))
+def test_cells_of_segments_matches_exact_oracle(segs, eps):
+    # Eighth-integer endpoints on dyadic grids are exact in floating point,
+    # so the rasteriser must agree with the exact count, grid corners and
+    # segments along grid lines included.
+    expected = set().union(*(_cells_met_exact(s, eps) for s in segs))
+    got = _cells_of_segments(np.array(segs, dtype=float), float(eps))
+    assert got == len(expected)
 
 
 def test_box_dimension_rejects_bad_windows(unit_segment):

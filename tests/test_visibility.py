@@ -23,7 +23,6 @@ from fracvis.visibility import (
     SegmentIndex,
     find_segment_crossings,
     first_hit,
-    first_hit_batch,
     read_visible_set,
     sample_visible,
     visible_oracle,
@@ -68,19 +67,6 @@ def test_first_hit_endpoint_tie_takes_lower_segment_index():
     hit = first_hit(v, (0.0, 0.0), 0.0)
     assert hit.point == pytest.approx([1.0, 0.0])
     assert hit.segment_index == 0
-
-
-def test_first_hit_batch_matches_scalar(koch5):
-    x = (0.5, -2.0)
-    thetas = np.linspace(0.0, 2 * math.pi, 97, endpoint=False)
-    ts, segs = first_hit_batch(koch5, x, thetas)
-    for i, th in enumerate(thetas):
-        got = first_hit(koch5, x, float(th))
-        if got is None:
-            assert not np.isfinite(ts[i])
-        else:
-            assert ts[i] == pytest.approx(got.t)
-            assert segs[i] == got.segment_index
 
 
 def test_first_hit_rejects_viewpoint_on_curve(unit_segment):
