@@ -1,4 +1,4 @@
-"""Time and memory of the set-up and visibility layers on Koch d=1.5 curves by level.
+"""Time and memory of the set-up, estimator and visibility layers on Koch curves.
 
 Usage:
 
@@ -6,7 +6,8 @@ Usage:
 
 Each level runs in a fresh interpreter.  It builds
 ``koch_generalized(1.5, LEVEL)``, box-counts it (``box_dimension(curve)``,
-the sweep's d_hat), builds its ``SegmentIndex``, then computes one
+the sweep's d_hat), estimates its energy dimension (``energy_dimension(curve)``
+on the default grid), builds its ``SegmentIndex``, then computes one
 ``visible_set`` from the first ring viewpoint of ``plan_viewpoints``
 (seed 0), and prints the wall time of each step and the process's
 ``ru_maxrss`` after it.  The launcher imports neither numpy nor fracvis,
@@ -35,7 +36,7 @@ def _rss_mb() -> float:
 def _probe(level: int) -> None:
     from fracvis.fractals import koch_generalized
     from fracvis.harness import ViewpointPlan, plan_viewpoints
-    from fracvis.measurelab import box_dimension
+    from fracvis.measurelab import box_dimension, energy_dimension
     from fracvis.visibility import SegmentIndex, visible_set
 
     def report(step: str, t0: float, detail: str) -> None:
@@ -48,6 +49,9 @@ def _probe(level: int) -> None:
     t0 = time.perf_counter()
     d_hat = box_dimension(curve)
     report("d_hat", t0, f"{d_hat.value:.4f} over {d_hat.n_scales} scales")
+    t0 = time.perf_counter()
+    energy = energy_dimension(curve)
+    report("energy", t0, f"{energy.value:.4f} over {energy.n_scales} sizes")
     t0 = time.perf_counter()
     index = SegmentIndex(curve)
     report("SegmentIndex", t0, f"{index.crossings().shape[0]} crossings")

@@ -101,12 +101,16 @@ class CurveApprox:
         )
 
     def vertices(self) -> np.ndarray:
-        """All segment endpoints, deduplicated for chains."""
+        """All segment endpoints, deduplicated for chains.
+
+        A chain is a curve whose every segment starts exactly where the
+        previous one ends; its shared endpoints are listed once.
+        """
         if self.is_point_cloud:
             return self.segments[:, 0:2]
         a = self.segments[:, 0:2]
         b = self.segments[:, 2:4]
-        if self.n_segments and np.allclose(a[1:], b[:-1]):
+        if self.n_segments and np.array_equal(a[1:], b[:-1]):
             return np.vstack([a, b[-1:]])
         return np.vstack([a, b])
 

@@ -472,15 +472,35 @@ def point_segments_dist(p, segs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Ragged ranges
+# Ragged ranges and their expansion budget
 # ---------------------------------------------------------------------------
+
+# Most expanded items (sweep candidates, crossing-search or energy-band
+# pairs) held at once.
+_CHUNK = 1 << 18
+
+
+def _blocks(counts: np.ndarray):
+    """Contiguous [i0, i1) ranges covering counts whose sums stay <= _CHUNK.
+
+    An item whose own count exceeds the budget gets a range of its own.
+    """
+    cum = np.cumsum(counts)
+    i0 = 0
+    done = 0
+    while i0 < counts.size:
+        i1 = max(int(np.searchsorted(cum, done + _CHUNK, side="right")), i0 + 1)
+        yield i0, i1
+        done = int(cum[i1 - 1])
+        i0 = i1
 
 
 def _ragged_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Concatenate arange(starts[i], ends[i]) for every i, vectorised.
 
     The one expansion behind the visibility sweep's candidates, crossing
-    search's segment pairs and box counting's grid-line crossings.
+    search's segment pairs, the energy estimator's band pairs and box
+    counting's grid-line crossings.
     """
     counts = ends - starts
     nonempty = counts > 0
@@ -526,14 +546,51 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
+def _octagon_interior(pts: np.ndarray) -> np.ndarray:
+    """Mask of the points strictly inside the octagon of 8 extreme points.
+
+    The octagon's corners are the first maximisers of x, x+y, y, y-x, -x,
+    -x-y, -y and x-y, in counterclockwise order (Akl and Toussaint, 1978).
+    Repeated corners are skipped.  A point is strictly inside when its
+    orientation against every edge is positive by more than the rounding
+    error of that orientation, so such a point lies inside the hull and is
+    no hull vertex.  Points on or near an edge are kept, and so is every
+    point when the corners are collinear.
+    """
+    x = pts[:, 0]
+    y = pts[:, 1]
+    # Elementwise projections: a BLAS product would add threads for no gain.
+    s = x + y
+    t = y - x
+    corners = pts[[np.argmax(x), np.argmax(s), np.argmax(y), np.argmax(t),
+                   np.argmin(x), np.argmin(s), np.argmin(y), np.argmin(t)]]
+    inside = np.ones(pts.shape[0], dtype=bool)
+    # Relative bound of the orientation's rounding error, plus the absolute
+    # error of products that underflow.
+    rel = 4.0 * np.finfo(float).eps
+    tiny = np.finfo(float).tiny
+    for (ax, ay), (bx, by) in zip(corners, np.roll(corners, -1, axis=0)):
+        if ax == bx and ay == by:
+            continue
+        left = (bx - ax) * (y - ay)
+        right = (by - ay) * (x - ax)
+        inside &= left - right > rel * (np.abs(left) + np.abs(right)) + tiny
+    return inside
+
+
 def diameter(points) -> float:
-    """Exact diameter (max pairwise distance) of a finite point set."""
+    """Exact diameter (max pairwise distance) of a finite point set.
+
+    Points strictly inside the octagon of extreme points cannot be hull
+    vertices and are dropped before the hull is built; the hull, and so
+    the diameter, is exactly that of the whole set.
+    """
     pts = _points_array(points)
     if pts.shape[0] == 0:
         raise ValueError("diameter of an empty set")
     if pts.shape[0] == 1:
         return 0.0
-    hull = _convex_hull(pts)
+    hull = _convex_hull(pts[~_octagon_interior(pts)])
     if hull.shape[0] <= 1:
         return 0.0
     d = hull[:, None, :] - hull[None, :, :]

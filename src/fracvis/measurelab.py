@@ -10,7 +10,12 @@ Three estimators, all reporting goodness of fit:
   with one diagonal step at each grid corner.
 * ``energy_dimension``: the largest exponent s whose discrete Riesz energy
   stays bounded as the sample grows (growth slope below
-  ``ENERGY_SLOPE_THRESHOLD``), interpolated at the crossing.
+  ``ENERGY_SLOPE_THRESHOLD``), interpolated at the crossing.  Each energy
+  keeps only the pairs in a thin distance band, found without an all-pairs
+  scan: atoms are sorted along their wider axis and each is paired with
+  the later atoms inside a window on that axis.  The kept distances are
+  summed in the order of the blocked all-pairs scan, so the estimates do
+  not depend on how the pairs were found.
 * ``frostman_exponent``: growth exponent of the worst-case ball mass
   sup_x mu(B(x, r)) over the measure's own atoms.
 
@@ -36,6 +41,7 @@ from .geom import (
     Cone,
     ParallelTube,
     RadialTube,
+    _blocks,
     _ragged_ranges,
     _xy,
 )
@@ -290,24 +296,6 @@ def sector_mass_check(mu: DiscreteMeasure, x, sector, ann: Annulus, s: float,
 # ---------------------------------------------------------------------------
 
 
-def _distance_blocks(pts: np.ndarray):
-    """Pairwise-distance blocks covering the upper triangle, row block first.
-
-    Yields (i0, j0, d) with j0 >= i0, where d holds the distances from
-    pts[i0 : i0 + _BLOCK] to pts[j0 : j0 + _BLOCK].  A diagonal block
-    (i0 == j0) is the full square; its lower half repeats the upper one.
-    """
-    n = pts.shape[0]
-    for i0 in range(0, n, _BLOCK):
-        pi = pts[i0 : i0 + _BLOCK]
-        for j0 in range(i0, n, _BLOCK):
-            pj = pts[j0 : j0 + _BLOCK]
-            yield i0, j0, np.hypot(
-                pi[:, None, 0] - pj[None, :, 0],
-                pi[:, None, 1] - pj[None, :, 1],
-            )
-
-
 def riesz_energy(mu: DiscreteMeasure, s: float) -> float:
     """Off-diagonal double sum  sum_{i != j} w_i w_j |p_i - p_j|**(-s).
 
@@ -317,23 +305,31 @@ def riesz_energy(mu: DiscreteMeasure, s: float) -> float:
     """
     if s <= 0.0:
         raise ValueError("exponent must be positive")
+    pts = mu.points
     w = mu.weights
-    if mu.points.shape[0] < 2:
+    n = pts.shape[0]
+    if n < 2:
         raise ValueError("energy needs at least two atoms")
     total = 0.0
-    for i0, j0, d in _distance_blocks(mu.points):
+    # Square blocks over the upper triangle, row block first.
+    for i0 in range(0, n, _BLOCK):
+        pi = pts[i0 : i0 + _BLOCK]
         wi = w[i0 : i0 + _BLOCK]
-        wj = w[j0 : j0 + _BLOCK]
-        if i0 == j0:
-            iu = np.triu_indices(d.shape[0], k=1)
-            dv = d[iu]
-            if np.any(dv == 0.0):
-                raise ValueError("coincident atoms make the energy undefined")
-            total += 2.0 * float(np.sum(wi[iu[0]] * wj[iu[1]] * dv**(-s)))
-        else:
-            if np.any(d == 0.0):
-                raise ValueError("coincident atoms make the energy undefined")
-            total += 2.0 * float(np.sum((wi[:, None] * wj[None, :]) * d**(-s)))
+        for j0 in range(i0, n, _BLOCK):
+            pj = pts[j0 : j0 + _BLOCK]
+            wj = w[j0 : j0 + _BLOCK]
+            d = np.hypot(pi[:, None, 0] - pj[None, :, 0],
+                         pi[:, None, 1] - pj[None, :, 1])
+            if i0 == j0:
+                iu = np.triu_indices(d.shape[0], k=1)
+                dv = d[iu]
+                if np.any(dv == 0.0):
+                    raise ValueError("coincident atoms make the energy undefined")
+                total += 2.0 * float(np.sum(wi[iu[0]] * wj[iu[1]] * dv**(-s)))
+            else:
+                if np.any(d == 0.0):
+                    raise ValueError("coincident atoms make the energy undefined")
+                total += 2.0 * float(np.sum((wi[:, None] * wj[None, :]) * d**(-s)))
     return total
 
 
@@ -343,6 +339,43 @@ def riesz_energy(mu: DiscreteMeasure, s: float) -> float:
 
 _ENERGY_DRAWS = 8
 _ENERGY_BAND_RATIO = 4.0
+
+
+def _band_distances(pts: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Distances |p_i - p_j| in (lo, hi] over pairs i < j, in scan order.
+
+    Atoms are sorted along the axis of larger spread, and each is paired
+    with the later atoms no more than 2*hi further along it; the factor 2
+    keeps every pair whose computed distance is at most hi inside the
+    window despite rounding.  Candidates are expanded in blocks under the
+    ``geom._CHUNK`` budget.  If every atom falls in one window the work is
+    that of the all-pairs scan, with the same bounded memory.
+
+    The kept distances come back in the order of a blocked all-pairs scan
+    of ``_BLOCK``-square blocks over the upper triangle, row block first,
+    row-major inside a block: by (i // _BLOCK, j // _BLOCK, i, j).  Floating
+    sums depend on order, so this keeps energies identical to that scan.
+    """
+    axis = int(np.argmax(np.ptp(pts, axis=0)))
+    order = np.argsort(pts[:, axis], kind="stable")
+    c = pts[order, axis]
+    starts = np.arange(1, c.size + 1)
+    ends = np.searchsorted(c, c + 2.0 * hi, side="right")
+    counts = ends - starts
+    kept_i, kept_j, kept_d = [], [], []
+    for k0, k1 in _blocks(counts):
+        a = order[np.repeat(np.arange(k0, k1), counts[k0:k1])]
+        b = order[_ragged_ranges(starts[k0:k1], ends[k0:k1])]
+        i = np.minimum(a, b)
+        j = np.maximum(a, b)
+        d = np.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1])
+        keep = (d > lo) & (d <= hi)
+        kept_i.append(i[keep])
+        kept_j.append(j[keep])
+        kept_d.append(d[keep])
+    i = np.concatenate(kept_i)
+    j = np.concatenate(kept_j)
+    return np.concatenate(kept_d)[np.lexsort((j, i, j // _BLOCK, i // _BLOCK))]
 
 
 def _energy_profile(curve: CurveApprox, n: int, s_grid: np.ndarray,
@@ -358,6 +391,10 @@ def _energy_profile(curve: CurveApprox, n: int, s_grid: np.ndarray,
     from beneath (the deficit decays like n**-(d-s)) and the closest-pair
     terms are heavy-tailed, so fitted slopes stay biased at any feasible n.
     Averaging over independent draws tames the remaining count noise.
+
+    The band holds a few pairs per atom, so ``_band_distances`` finds them
+    without computing all n(n-1)/2 distances, in the all-pairs scan's
+    order, which keeps every energy bit-for-bit equal to that scan's.
     """
     lo = diam / n
     hi = _ENERGY_BAND_RATIO * diam / n
@@ -369,14 +406,7 @@ def _energy_profile(curve: CurveApprox, n: int, s_grid: np.ndarray,
             pts = cloud[rng.integers(0, cloud.shape[0], size=n)]
         else:
             pts = sample_arclength(curve, rng.random(n))
-        kept = []
-        for i0, j0, d in _distance_blocks(pts):
-            if i0 == j0:
-                d = d[np.triu_indices(d.shape[0], k=1)]
-            else:
-                d = d.ravel()
-            kept.append(d[(d > lo) & (d <= hi)])
-        dists = np.concatenate(kept)
+        dists = _band_distances(pts, lo, hi)
         if dists.size:
             # Factor 2: each unordered pair appears twice in the double sum.
             total += [2.0 / (n * n) * float(np.sum(dists**(-s)))

@@ -16,9 +16,9 @@ where a ray meets two segments at the same distance (shared endpoints)
 resolve to the lower segment index everywhere, which keeps every output
 byte-reproducible, and the result does not depend on candidate order.
 Candidates are expanded (by ``geom._ragged_ranges``) in contiguous probe
-ranges of at most ``_CHUNK`` (probe, segment) pairs, and crossing search
-expands its pairs in blocks of the same size, so memory stays bounded as
-curves get finer.
+ranges of at most ``geom._CHUNK`` (probe, segment) pairs, and crossing
+search expands its pairs in blocks of the same size, so memory stays
+bounded as curves get finer.
 
 ``visible_oracle`` is the independent brute-force check.  ``first_hit``
 casts a single ray by brute force: one ``geom.hit_t_elementwise`` call
@@ -39,6 +39,7 @@ from .fractals import CurveApprox, DiscreteMeasure, points_at_arclength
 from .geom import (
     EPS_GEOM,
     TWO_PI,
+    _blocks,
     _ragged_ranges,
     _xy,
     hit_t_elementwise,
@@ -90,29 +91,6 @@ class VisibleSet:
 
 
 # ---------------------------------------------------------------------------
-# Expansion budget
-# ---------------------------------------------------------------------------
-
-# Most (probe, segment) candidates, or crossing-search pairs, held at once.
-_CHUNK = 1 << 18
-
-
-def _blocks(counts: np.ndarray):
-    """Contiguous [i0, i1) ranges covering counts whose sums stay <= _CHUNK.
-
-    An item whose own count exceeds the budget gets a range of its own.
-    """
-    cum = np.cumsum(counts)
-    i0 = 0
-    done = 0
-    while i0 < counts.size:
-        i1 = max(int(np.searchsorted(cum, done + _CHUNK, side="right")), i0 + 1)
-        yield i0, i1
-        done = int(cum[i1 - 1])
-        i0 = i1
-
-
-# ---------------------------------------------------------------------------
 # Brute-force first hits
 # ---------------------------------------------------------------------------
 
@@ -160,8 +138,9 @@ def find_segment_crossings(curve: CurveApprox) -> np.ndarray:
     overlaps contribute nothing because their switch angles are already
     endpoint events.  Uses a sweep over bounding-box x-intervals, so the
     cost is near-linear for curves without heavy box overlap.  The x-overlap
-    pairs are expanded in blocks of sorted segments of at most ``_CHUNK``
-    pairs; the points come out in the same order for any block size.
+    pairs are expanded in blocks of sorted segments of at most
+    ``geom._CHUNK`` pairs; the points come out in the same order for any
+    block size.
     """
     segs = curve.segments
     n = segs.shape[0]
@@ -251,7 +230,7 @@ def _first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num) -> np.ndarray:
     line of segment s at t = num[s] / (cos_p[k] ey[s] - sin_p[k] ex[s]).
     The winner is a min-reduction: least t, then the lowest segment index
     among candidates at exactly that t.  Misses (t = inf) never win.
-    Candidates are expanded in contiguous probe ranges of at most _CHUNK
+    Candidates are expanded in contiguous probe ranges of at most geom._CHUNK
     (or one probe's worth, if more); each range holds all of its probes'
     candidates, so the ranges' reductions are independent and their sizes
     bound the memory.  A span joins the live set at the range holding its
@@ -361,7 +340,7 @@ def visible_set(curve: CurveApprox, x,
     ey = segs[:, 3] - segs[:, 1]
     num = (segs[:, 0] - o[0]) * ey - (segs[:, 1] - o[1]) * ex
     # Each probe's winner: least t, then lowest segment index at that t,
-    # found in probe ranges of at most _CHUNK candidates.
+    # found in probe ranges of at most geom._CHUNK candidates.
     winner = _first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num)
     covered = winner >= 0
 

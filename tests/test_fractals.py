@@ -288,6 +288,19 @@ def test_from_segments_soup():
     assert not soup.connected
 
 
+def test_vertices_keep_tiny_disjoint_segments():
+    # Endpoints 4e-9 apart are distinct points, not one chain joint.
+    soup = from_segments([[0.0, 0.0, 1e-9, 0.0], [5e-9, 5e-9, 6e-9, 5e-9]])
+    want = np.array([[0.0, 0.0], [5e-9, 5e-9], [1e-9, 0.0], [6e-9, 5e-9]])
+    assert np.array_equal(soup.vertices(), want)
+    assert np.allclose(soup.centroid(), [3e-9, 2.5e-9], rtol=1e-12, atol=0.0)
+
+
+def test_vertices_list_chain_joints_once():
+    chain = polyline([(0.0, 0.0), (1e-9, 0.0), (1e-9, 2e-9)])
+    assert np.array_equal(chain.vertices(), [[0.0, 0.0], [1e-9, 0.0], [1e-9, 2e-9]])
+
+
 def test_curve_spec_round_trip():
     spec = CurveSpec("koch", 1.5, 7, 42, {"extra": 1.0})
     assert CurveSpec.from_dict(spec.to_dict()) == spec

@@ -1,12 +1,14 @@
 """Geometry primitives: angular measurements, cones, tubes, ray hits."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from fracvis.fractals import koch_generalized
 from fracvis.geom import (
     Annulus,
     Cone,
@@ -14,6 +16,8 @@ from fracvis.geom import (
     Point,
     RadialTube,
     Segment,
+    _convex_hull,
+    _octagon_interior,
     angle_ratio,
     angle_ratio_upper,
     arc_diam,
@@ -316,3 +320,78 @@ def test_point_segments_dist():
 def test_diameter_square():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     assert diameter(pts) == pytest.approx(math.sqrt(2.0))
+
+
+def _diameter_cases(kind: str, seed: int, n: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.uniform(-1.0, 1.0, size=(n, 2)) * 10.0 ** rng.integers(-9, 7)
+    if kind == "collinear":
+        # Integer points on one line, so collinearity is exact.
+        base = rng.integers(-9, 10, size=2)
+        step = rng.integers(-5, 6, size=2)
+        return (base + rng.integers(-50, 51, size=n)[:, None] * step).astype(float)
+    if kind == "duplicated":
+        pool = rng.uniform(-1.0, 1.0, size=(max(n // 4, 1), 2))
+        return pool[rng.integers(0, pool.shape[0], size=n)]
+    # near_edge: the unit square's corners, points on its edges, and points
+    # one ulp inside or outside an edge.
+    t = rng.integers(1, 64, size=n) / 64.0
+    side = rng.integers(0, 4, size=n)
+    off = rng.choice([-np.inf, 0.0, np.inf], size=n)
+    across = np.where(side % 2 == 0, side // 2, 1 - (side - 1) // 2).astype(float)
+    across = np.where(off == 0.0, across, np.nextafter(across, off))
+    edge = np.where((side % 2 == 0)[:, None],
+                    np.column_stack([t, across]), np.column_stack([across, t]))
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    return np.vstack([corners, edge])
+
+
+@given(kind=st.sampled_from(["random", "collinear", "duplicated", "near_edge"]),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200))
+def test_diameter_equals_brute_force(kind, seed, n):
+    pts = _diameter_cases(kind, seed, n)
+    d = pts[:, None, :] - pts[None, :, :]
+    assert diameter(pts) == float(np.sqrt(np.max(np.sum(d * d, axis=2))))
+
+
+def _exact_hull_vertices(pts: np.ndarray) -> set:
+    """Strict hull vertices by a monotone chain in exact rationals."""
+    pts = sorted({(Fraction(x), Fraction(y)) for x, y in pts})
+    if len(pts) <= 2:
+        return set(pts)
+
+    def chain(seq):
+        hull = []
+        for q in seq:
+            while len(hull) >= 2:
+                (ox, oy), (ax, ay) = hull[-2], hull[-1]
+                if (ax - ox) * (q[1] - oy) - (ay - oy) * (q[0] - ox) > 0:
+                    break
+                hull.pop()
+            hull.append(q)
+        return hull[:-1]
+
+    return set(chain(pts) + chain(pts[::-1]))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=5)
+def test_octagon_filter_drops_no_exact_hull_vertex(seed):
+    # Points rounded onto the edges of a random quadrilateral lie within an
+    # ulp of them, some just outside, so the rounding error of the
+    # orientation decides whether they look inside.
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1.0, 1.0, size=(4, 2))
+    a = base[rng.integers(0, 4, size=150)]
+    b = base[rng.integers(0, 4, size=150)]
+    pts = np.vstack([base, a + rng.random((150, 1)) * (b - a)])
+    dropped = {(Fraction(x), Fraction(y)) for x, y in pts[_octagon_interior(pts)]}
+    assert not dropped & _exact_hull_vertices(pts)
+
+
+def test_octagon_filter_keeps_the_hull():
+    pts = koch_generalized(1.5, 7).vertices()
+    inside = _octagon_interior(pts)
+    assert np.count_nonzero(~inside) < pts.shape[0] // 10
+    assert np.array_equal(_convex_hull(pts[~inside]), _convex_hull(pts))

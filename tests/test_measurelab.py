@@ -4,23 +4,30 @@ import math
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fracvis import geom, measurelab
 from fracvis.fractals import (
     DiscreteMeasure,
     circle,
+    from_segments,
     koch_generalized,
     polyline,
+    sample_arclength,
     uniform_measure,
 )
 from fracvis.geom import Annulus, Cone, ParallelTube, Point, RadialTube
 from fracvis.measurelab import (
+    _BLOCK,
     DimEstimate,
+    _band_distances,
     _cells_of_segments,
+    _energy_profile,
     ball_mass,
     box_dimension,
     check_frostman,
@@ -309,6 +316,91 @@ def test_energy_dimension_fixture_values(unit_segment, koch7, circle_1024):
     assert abs(e_seg.value - 1.0) <= 0.15
     assert abs(e_koch.value - box_dimension(koch7).value) <= 0.15
     assert abs(e_circ.value - box_dimension(circle_1024).value) <= 0.15
+
+
+def _scan_band_distances(pts, lo, hi):
+    """The blocked all-pairs scan that the band search replaced."""
+    n = pts.shape[0]
+    kept = []
+    for i0 in range(0, n, _BLOCK):
+        pi = pts[i0 : i0 + _BLOCK]
+        for j0 in range(i0, n, _BLOCK):
+            pj = pts[j0 : j0 + _BLOCK]
+            d = np.hypot(pi[:, None, 0] - pj[None, :, 0],
+                         pi[:, None, 1] - pj[None, :, 1])
+            d = d[np.triu_indices(d.shape[0], k=1)] if i0 == j0 else d.ravel()
+            kept.append(d[(d > lo) & (d <= hi)])
+    return np.concatenate(kept)
+
+
+def _cloud(pts):
+    return from_segments(np.column_stack([pts, pts]))
+
+
+def _band_case(kind, seed, n):
+    """A curve or cloud to draw n atoms from."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 300))
+    if kind == "curve":
+        return polyline(rng.uniform(-1.0, 1.0, size=(k, 2)))
+    if kind == "cloud":
+        return _cloud(rng.uniform(-1.0, 1.0, size=(k, 2)))
+    if kind == "vertical":
+        return _cloud(np.column_stack([np.full(k, 0.3), rng.uniform(-1.0, 1.0, k)]))
+    # Integer points with diameter n: the band is (1, 4], and lattice
+    # pairs sit exactly on both of its ends.
+    axis = np.column_stack([np.arange(n + 1.0), np.zeros(n + 1)])
+    bump = np.array([[n // 2 + a, b] for a in range(-2, 3) for b in range(1, 4)])
+    return _cloud(np.vstack([axis, bump]).astype(float))
+
+
+_BAND_KINDS = st.sampled_from(["curve", "cloud", "vertical", "lattice"])
+
+
+@given(kind=_BAND_KINDS, seed=st.integers(0, 2**32 - 1), n=st.integers(16, 400))
+def test_energy_profile_matches_all_pairs_scan(kind, seed, n):
+    curve = _band_case(kind, seed, n)
+    s_grid = np.array([0.5, 1.0, 1.5])
+    got = _energy_profile(curve, n, s_grid, seed, curve.diam)
+    with mock.patch.object(measurelab, "_band_distances", _scan_band_distances):
+        want = _energy_profile(curve, n, s_grid, seed, curve.diam)
+    assert np.array_equal(got, want)
+
+
+def _band_points(kind, seed, n):
+    """n atoms drawn from a band case (clouds with repeats) and the band."""
+    curve = _band_case(kind, seed, n)
+    rng = np.random.default_rng(seed)
+    if curve.is_point_cloud:
+        cloud = curve.segments[:, 0:2]
+        pts = cloud[rng.integers(0, cloud.shape[0], size=n)]
+    else:
+        pts = sample_arclength(curve, rng.random(n))
+    return pts, curve.diam / n, 4.0 * curve.diam / n
+
+
+@given(kind=_BAND_KINDS, seed=st.integers(0, 2**32 - 1), n=st.integers(16, 400),
+       chunk=st.sampled_from([1, 300, geom._CHUNK]))
+def test_band_distances_match_all_pairs_scan(kind, seed, n, chunk):
+    pts, lo, hi = _band_points(kind, seed, n)
+    with mock.patch.object(geom, "_CHUNK", chunk):
+        got = _band_distances(pts, lo, hi)
+    assert np.array_equal(got, _scan_band_distances(pts, lo, hi))
+
+
+def test_band_distances_match_scan_past_one_block(koch7):
+    # 5000 atoms span three _BLOCK rows, so the scan order crosses blocks.
+    for pts, lo, hi in (_band_points("lattice", 1, 5000),
+                        _band_points("cloud", 2, 5000)):
+        assert np.array_equal(_band_distances(pts, lo, hi),
+                              _scan_band_distances(pts, lo, hi))
+    pts = sample_arclength(koch7, np.random.default_rng(3).random(5000))
+    lo, hi = koch7.diam / 5000, 4.0 * koch7.diam / 5000
+    want = _scan_band_distances(pts, lo, hi)
+    assert want.size > 1000
+    assert np.array_equal(_band_distances(pts, lo, hi), want)
+    with mock.patch.object(geom, "_CHUNK", 1):
+        assert np.array_equal(_band_distances(pts, lo, hi), want)
 
 
 def test_energy_dimension_rejects_bad_grids(unit_segment):

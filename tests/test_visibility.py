@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from fracvis import visibility
+from fracvis import geom, visibility
 from fracvis.fractals import (
     cantor_cross,
     circle,
@@ -354,7 +354,7 @@ def test_chunked_expansion_matches_unchunked(koch5, chunk):
     whole_x = [find_segment_crossings(c) for c in (koch5, *soups)]
     whole_vs = [visible_set(c, x) for c, x in views]
     assert whole_x[2].shape[0] > 100
-    with mock.patch.object(visibility, "_CHUNK", chunk):
+    with mock.patch.object(geom, "_CHUNK", chunk):
         for c, want in zip((koch5, *soups), whole_x):
             got = find_segment_crossings(c)
             assert got.tobytes() == want.tobytes()
@@ -366,8 +366,8 @@ def test_chunked_expansion_matches_unchunked(koch5, chunk):
 
 def test_blocks_cover_in_order_within_budget():
     counts = np.array([0, 5, 3, 0, 9, 1, 1, 0, 4, 12, 0])
-    with mock.patch.object(visibility, "_CHUNK", 8):
-        blocks = list(visibility._blocks(counts))
+    with mock.patch.object(geom, "_CHUNK", 8):
+        blocks = list(geom._blocks(counts))
     assert blocks[0][0] == 0 and blocks[-1][1] == counts.size
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
     for i0, i1 in blocks:
