@@ -469,10 +469,12 @@ def curve_to_json(curve: CurveApprox) -> str:
         f"\"params\":{{{params_items}}}"
         "}"
     )
-    rows = ",".join(
-        f"[{_fnum(r[0])},{_fnum(r[1])},{_fnum(r[2])},{_fnum(r[3])}]"
-        for r in curve.segments
-    )
+    segs = curve.segments
+    if not np.all(np.isfinite(segs)):
+        raise ValueError("cannot serialize non-finite number")
+    # One %-format over every coordinate; "%.17g" matches _fnum's format().
+    rows = ",".join(["[%.17g,%.17g,%.17g,%.17g]"] * segs.shape[0]) % tuple(
+        segs.ravel().tolist())
     theo = _fnum(curve.theoretical_dim) if curve.theoretical_dim is not None else "null"
     return (
         "{"

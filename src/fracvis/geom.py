@@ -1,16 +1,17 @@
 """Planar primitives and the exact angular computations built on them.
 
 Everything downstream (curve generation, the visibility sweep, the measure
-diagnostics) reduces to a small vocabulary defined here: points, segments,
-annuli ``A(x, d-, d+)``, open cones ``V(x, u, sigma)``, parallel and radial
-half-tubes, the subtended-angle measure ``arc_diam``, and first-hit
-parameters of rays against segments.
+diagnostics) reduces to a small vocabulary defined here: points, annuli
+``A(x, d-, d+)``, open cones ``V(x, u, sigma)``, the subtended-angle measure
+``arc_diam``, the angle-ratio and intercone inequalities, hit parameters of
+rays against segments, point-to-segment distances, the bounded expansion of
+ragged index ranges, and the exact diameter of a point set.
 
 Conventions
 -----------
 * ``perp((x, y)) = (-y, x)``.
-* Angles are radians; ``log_polar`` reports them in ``(-pi, pi]``.
-* Cones and tubes are open sets, so membership uses strict inequalities.
+* Angles are radians.
+* Cones are open sets, so membership uses strict inequalities.
 * ``EPS_GEOM`` is the degeneracy tolerance for collinearity and on-curve
   tests.  Inequality checkers use the looser ``CHECK_SLACK`` so that valid
   boundary configurations do not flake on rounding.
@@ -33,9 +34,6 @@ CHECK_SLACK = 1e-9
 
 # Below this |cross(dir, edge)| / |edge| a ray counts as parallel to a segment.
 _PARALLEL_EPS = 1e-14
-
-PLUS = "plus"
-MINUS = "minus"
 
 
 def _xy(p) -> np.ndarray:
@@ -75,25 +73,6 @@ class Point:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y])
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Closed segment [a, b] with distinct endpoints."""
-
-    a: Point
-    b: Point
-
-    def __post_init__(self):
-        if self.length <= 0.0:
-            raise ValueError("segment endpoints must be distinct")
-
-    @property
-    def length(self) -> float:
-        return math.hypot(self.b.x - self.a.x, self.b.y - self.a.y)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a.x, self.a.y, self.b.x, self.b.y])
 
 
 @dataclass(frozen=True)
@@ -149,73 +128,6 @@ class Cone:
         along = d[:, 0] * ux + d[:, 1] * uy
         across = d[:, 0] * (-uy) + d[:, 1] * ux
         return np.abs(across) < self.opening * along
-
-
-@dataclass(frozen=True)
-class RadialTube:
-    """Radial half-tube T(x, u, r): the cone V(x, u-x, r/d(x,u)) cut at |u-x|.
-
-    ``side == "plus"`` keeps the part beyond u (d(x, z) > d(x, u)),
-    ``side == "minus"`` the part between x and u (d(x, z) < d(x, u)).
-    """
-
-    origin: Point
-    anchor: Point
-    half_width: float
-    side: str
-
-    def __post_init__(self):
-        if self.side not in (PLUS, MINUS):
-            raise ValueError("side must be 'plus' or 'minus'")
-        if not self.half_width > 0.0:
-            raise ValueError("half width must be positive")
-        if self._anchor_dist() <= 0.0:
-            raise ValueError("anchor must differ from origin")
-
-    def _anchor_dist(self) -> float:
-        return math.hypot(self.anchor.x - self.origin.x, self.anchor.y - self.origin.y)
-
-    def cone(self) -> Cone:
-        d = self._anchor_dist()
-        return Cone(
-            self.origin,
-            (self.anchor.x - self.origin.x, self.anchor.y - self.origin.y),
-            self.half_width / d,
-        )
-
-    def contains(self, p) -> bool:
-        return bool(self.mask(_xy(p)[None, :])[0])
-
-    def mask(self, pts: np.ndarray) -> np.ndarray:
-        d = self._anchor_dist()
-        rel = pts - self.origin.as_array()
-        dist = np.hypot(rel[:, 0], rel[:, 1])
-        radial = dist > d if self.side == PLUS else dist < d
-        return self.cone().mask(pts) & radial
-
-
-@dataclass(frozen=True)
-class ParallelTube:
-    """Vertical half-tube at base x: |p1 - x1| < r and p2 above/below x2."""
-
-    base: Point
-    half_width: float
-    side: str
-
-    def __post_init__(self):
-        if self.side not in (PLUS, MINUS):
-            raise ValueError("side must be 'plus' or 'minus'")
-        if not self.half_width > 0.0:
-            raise ValueError("half width must be positive")
-
-    def contains(self, p) -> bool:
-        return bool(self.mask(_xy(p)[None, :])[0])
-
-    def mask(self, pts: np.ndarray) -> np.ndarray:
-        dx = np.abs(pts[:, 0] - self.base.x)
-        dy = pts[:, 1] - self.base.y
-        vertical = dy > 0.0 if self.side == PLUS else dy < 0.0
-        return (dx < self.half_width) & vertical
 
 
 # ---------------------------------------------------------------------------
@@ -360,36 +272,6 @@ def intercone_holds(p, sigma: float, tau: float, u,
 
 
 # ---------------------------------------------------------------------------
-# Log-polar chart
-# ---------------------------------------------------------------------------
-
-
-def log_polar(x, u) -> tuple[float, float]:
-    """Chart u -> (r, theta) about x with r = |u - x|, theta in (-pi, pi].
-
-    Restricted to a quadrant of an annulus about x the chart is bi-Lipschitz,
-    which is what makes cone and tube masses comparable; callers enforce that
-    restriction themselves.
-    """
-    d = _xy(u) - _xy(x)
-    r = float(np.hypot(*d))
-    if r <= EPS_GEOM:
-        raise ValueError("log_polar is undefined at the chart center")
-    theta = math.atan2(d[1], d[0])
-    if theta == -math.pi:
-        theta = math.pi
-    return r, theta
-
-
-def log_polar_inverse(x, r: float, theta: float) -> np.ndarray:
-    """Inverse chart: x + r (cos theta, sin theta)."""
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
-    o = _xy(x)
-    return o + r * np.array([math.cos(theta), math.sin(theta)])
-
-
-# ---------------------------------------------------------------------------
 # Rays against segments
 # ---------------------------------------------------------------------------
 
@@ -403,10 +285,10 @@ def hit_t_elementwise(ox, oy, dx, dy, ax, ay, bx, by) -> np.ndarray:
     endpoint beyond the origin.  Hits at t <= EPS_GEOM are discarded so a
     ray never reports its own origin.
 
-    This is the kernel of every brute-force ray query: ``ray_segment_hit``
-    below, ``visibility.first_hit`` and the visibility oracle.  The
-    visibility sweep computes its own line hits, since a probe inside a
-    segment's angular span always meets that segment.
+    Its one caller is the brute-force visibility oracle,
+    ``visibility.visible_oracle``.  The visibility sweep computes its own
+    line hits, since a probe inside a segment's angular span always meets
+    that segment.
     """
     ex = bx - ax
     ey = by - ay
@@ -436,21 +318,6 @@ def hit_t_elementwise(ox, oy, dx, dy, ax, ay, bx, by) -> np.ndarray:
         tb = np.where(tb > EPS_GEOM, tb, np.inf)
         out = np.where(grazing, np.minimum(ta, tb), out)
     return out
-
-
-def ray_segment_hit(origin, theta: float, seg) -> float | None:
-    """Smallest t > 0 with origin + t (cos theta, sin theta) on the segment.
-
-    Returns None when the ray misses.  Endpoint hits count; for a ray
-    collinear with the segment the nearest endpoint is reported.
-    """
-    o = _xy(origin)
-    if isinstance(seg, Segment):
-        seg = seg.as_array()
-    ax, ay, bx, by = np.asarray(seg, dtype=float).reshape(4)
-    t = hit_t_elementwise(o[0], o[1], math.cos(theta), math.sin(theta),
-                          ax, ay, bx, by)
-    return None if not np.isfinite(t) else float(t)
 
 
 def point_segments_dist(p, segs: np.ndarray) -> np.ndarray:

@@ -114,7 +114,8 @@ class ViewpointPlan:
     centroid; the default (None) is (diam, 3 * diam), far enough out that
     every viewpoint clears the curve.  ``region`` (random/grid modes) is
     (xmin, ymin, xmax, ymax); the default inflates the curve's bounding box
-    by half a diameter.
+    by half a diameter.  A plan refuses radii outside ring mode and a
+    region in it, rather than ignore them.
     """
 
     mode: str = "ring"
@@ -135,6 +136,10 @@ class ViewpointPlan:
             x0, y0, x1, y1 = self.region
             if not (x0 < x1 and y0 < y1):
                 raise ValueError("region must have positive width and height")
+        if self.radii is not None and self.mode != "ring":
+            raise ValueError(f"{self.mode} mode takes no radii; use mode ring")
+        if self.region is not None and self.mode == "ring":
+            raise ValueError("ring mode takes no region; use mode grid or random")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

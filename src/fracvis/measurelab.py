@@ -1,6 +1,6 @@
 """Dimension estimators and mass diagnostics for discrete measures.
 
-Three estimators, all reporting goodness of fit:
+Two estimators, both reporting goodness of fit:
 
 * ``box_dimension``: occupied-cell counts over origin-anchored dyadic grids,
   least-squares slope of log N(eps) against log(1/eps).  Point input counts
@@ -16,13 +16,13 @@ Three estimators, all reporting goodness of fit:
   the later atoms inside a window on that axis.  The kept distances are
   summed in the order of the blocked all-pairs scan, so the estimates do
   not depend on how the pairs were found.
-* ``frostman_exponent``: growth exponent of the worst-case ball mass
-  sup_x mu(B(x, r)) over the measure's own atoms.
 
-Plus the mass bounds the estimators are checked against: the sector mass
-bound for measures with ball growth mu(B(x, r)) <= r**s, tube masses and
-their scaling exponents, and the closed-form constants chain
-(d0, r2, alpha0, alpha1, d1, c1, d2, c2) used by the separation estimates.
+Plus the mass bounds the estimators are checked against: ball masses, the
+worst-case ball-mass profile sup_x mu(B(x, r)) over the measure's own atoms
+and the ball-growth check and rescaling built on it, the sector mass bound
+for measures with ball growth mu(B(x, r)) <= r**s, and the closed-form
+constants chain (d0, r2, alpha0, alpha1, d1, c1, d2, c2) used by the
+separation estimates.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from .geom import (
     CHECK_SLACK,
     Annulus,
     Cone,
-    ParallelTube,
-    RadialTube,
     _blocks,
     _ragged_ranges,
     _xy,
@@ -135,42 +133,6 @@ def ball_mass(mu: DiscreteMeasure, x, r: float) -> float:
     d = mu.points - _xy(x)
     inside = np.hypot(d[:, 0], d[:, 1]) <= r
     return float(np.sum(mu.weights[inside]))
-
-
-def tube_mass(mu: DiscreteMeasure, tube: ParallelTube | RadialTube) -> float:
-    """Mass inside an open half-tube (strict membership)."""
-    return float(np.sum(mu.weights[tube.mask(mu.points)]))
-
-
-def tube_scaling_exponent(mu: DiscreteMeasure, x, u, r_grid,
-                          side: str = "plus") -> float:
-    """Growth exponent beta of tube mass against half-width.
-
-    Fits log tube_mass against log r over the given strictly decreasing
-    radii.  ``u is None`` uses vertical half-tubes based at x; otherwise
-    radial half-tubes from x anchored at u.  Radii with zero mass are
-    dropped from the fit; if every mass vanishes this raises.
-    """
-    radii = np.asarray(r_grid, dtype=float)
-    if radii.size < 4 or np.any(np.diff(radii) >= 0.0):
-        raise ValueError("need at least 4 strictly decreasing radii")
-    from .geom import Point
-
-    base = Point(*_xy(x))
-    masses = np.empty(radii.size)
-    for i, r in enumerate(radii):
-        if u is None:
-            tube: ParallelTube | RadialTube = ParallelTube(base, float(r), side)
-        else:
-            tube = RadialTube(base, Point(*_xy(u)), float(r), side)
-        masses[i] = tube_mass(mu, tube)
-    keep = masses > 0.0
-    if not np.any(keep):
-        raise ValueError("all tube masses are zero")
-    if np.count_nonzero(keep) < 2:
-        raise ValueError("too few nonzero tube masses to fit a slope")
-    slope, _, _, _ = fit_loglog(radii[keep], masses[keep])
-    return float(slope)
 
 
 # ---------------------------------------------------------------------------
@@ -641,30 +603,6 @@ def box_dimension(data, scale_window: tuple[float, float] | None = None,
         n_scales=int(scales.size),
         r_squared=float(r2),
     )
-
-
-# ---------------------------------------------------------------------------
-# Frostman exponent
-# ---------------------------------------------------------------------------
-
-
-def frostman_exponent(mu: DiscreteMeasure, r_grid) -> float:
-    """Growth exponent of sup_x mu(B(x, r)) over the measure's atoms.
-
-    Fits log sup-mass against log r on the grid.  A measure concentrated at
-    a single location has constant profile and exponent 0; a measure with a
-    single atom raises (no radii resolve anything).
-    """
-    radii = np.asarray(r_grid, dtype=float)
-    if radii.size < 4:
-        raise ValueError("need at least 4 radii")
-    if np.any(radii <= 0.0):
-        raise ValueError("radii must be positive")
-    if mu.points.shape[0] < 2:
-        raise ValueError("a single-atom measure has no mass profile")
-    sup = frostman_sup_profile(mu, radii)
-    slope, _, _, _ = fit_loglog(radii, sup)
-    return float(slope)
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,14 @@ ranges of at most ``geom._CHUNK`` (probe, segment) pairs, and crossing
 search expands its pairs in blocks of the same size, so memory stays
 bounded as curves get finer.
 
-``visible_oracle`` is the independent brute-force check.  ``first_hit``
-casts a single ray by brute force: one ``geom.hit_t_elementwise`` call
-over all segments, whose first minimum breaks ties to the lower segment
-index as the sweep does.  :class:`SegmentIndex` caches a curve's segment
-crossings so that many viewpoints share them.
+``visible_oracle`` is the independent brute-force check: it casts the
+chord to a curve point against every segment in one
+``geom.hit_t_elementwise`` call.  :class:`SegmentIndex` caches a curve's
+segment crossings so that many viewpoints share them.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -57,17 +55,6 @@ class Viewpoint:
         if not self.dist_to_set > 0.0:
             raise ValueError("viewpoint must be off the curve")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-
-@dataclass(frozen=True)
-class HitRecord:
-    theta: float
-    t: float
-    point: tuple[float, float]
-    segment_index: int
-
 
 @dataclass(frozen=True)
 class VisiblePiece:
@@ -88,33 +75,6 @@ class VisibleSet:
     pieces: list[VisiblePiece]
     total_length: float
     angular_coverage: float
-
-
-# ---------------------------------------------------------------------------
-# Brute-force first hits
-# ---------------------------------------------------------------------------
-
-
-def first_hit(curve: CurveApprox, x, theta: float) -> HitRecord | None:
-    """First curve point met by the ray from x in direction theta, or None.
-
-    Ties at equal distance go to the lower segment index.
-    """
-    o = _xy(x)
-    _reject_bad_viewpoint(curve, o)
-    dx = math.cos(theta)
-    dy = math.sin(theta)
-    segs = curve.segments
-    t = hit_t_elementwise(o[0], o[1], dx, dy,
-                          segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3])
-    # argmin returns the first minimum, so ties go to the lower index.
-    j = int(np.argmin(t))
-    if not np.isfinite(t[j]):
-        return None
-    tj = float(t[j])
-    return HitRecord(theta=float(theta), t=tj,
-                     point=(float(o[0] + tj * dx), float(o[1] + tj * dy)),
-                     segment_index=j)
 
 
 def _reject_bad_viewpoint(curve: CurveApprox, o: np.ndarray) -> float:
@@ -442,7 +402,7 @@ def sample_visible(vs: VisibleSet, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Visible-set files
+# Visible-set JSON
 # ---------------------------------------------------------------------------
 
 _FMT = ".17g"
@@ -466,34 +426,3 @@ def visible_set_to_json(vs: VisibleSet) -> str:
         f"\"angular_coverage\":{_f(vs.angular_coverage)}"
         "}"
     )
-
-
-def write_visible_set(vs: VisibleSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(visible_set_to_json(vs))
-        fh.write("\n")
-
-
-def visible_set_from_json(text: str) -> VisibleSet:
-    doc = json.loads(text)
-    pieces = [
-        VisiblePiece(int(r[0]), (float(r[1]), float(r[2])),
-                     (float(r[3]), float(r[4])))
-        for r in doc["pieces"]
-    ]
-    ox, oy = float(doc["viewpoint"][0]), float(doc["viewpoint"][1])
-    # The nearest curve point is always visible (its chord cannot be blocked
-    # by anything closer), so distance to the pieces recovers dist_to_set.
-    if pieces:
-        rows = np.array([[*p.start, *p.end] for p in pieces])
-        dist = float(point_segments_dist(np.array([ox, oy]), rows).min())
-    else:
-        dist = math.inf
-    vp = Viewpoint(ox, oy, dist)
-    return VisibleSet(vp, pieces, float(doc["total_length"]),
-                      float(doc["angular_coverage"]))
-
-
-def read_visible_set(path) -> VisibleSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return visible_set_from_json(fh.read())

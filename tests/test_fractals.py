@@ -1,5 +1,6 @@
 """Curve generators, discrete measures, and the curve file format."""
 
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fracvis import fractals
 from fracvis.fractals import (
     CurveSpec,
     DiscreteMeasure,
@@ -279,6 +281,33 @@ def test_curve_json_17_digit_round_trip():
     p = polyline([(0.0, 0.0), (math.pi, math.e)])
     back = curve_from_json(curve_to_json(p))
     assert back.segments.tobytes() == p.segments.tobytes()
+
+
+AWKWARD = [-0.0, 5e-324, 1e16, 1.0, math.pi, -1.5e-300, 0.1, -123456789.125,
+           2.0**-1074 * 3, 1e100, -1e-5, 1e22]
+
+
+def test_curve_json_rows_match_per_coordinate_format():
+    rows = np.array(AWKWARD).reshape(-1, 4)
+    soup = from_segments(np.vstack([rows, rows[::-1, ::-1]]))
+    want = ",".join(
+        "[" + ",".join(fractals._fnum(v) for v in row) + "]"
+        for row in soup.segments
+    )
+    assert curve_to_json(soup).endswith(f"\"segments\":[{want}]}}")
+    # "-0" reads back as 0, so compare values, not bytes.
+    back = curve_from_json(curve_to_json(soup))
+    assert np.array_equal(back.segments, soup.segments)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_curve_json_rejects_non_finite_coordinates(bad):
+    segs = np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 2.0, 1.0]])
+    curve = from_segments(segs)
+    segs = segs.copy()
+    segs[1, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        curve_to_json(dataclasses.replace(curve, segments=segs))
 
 
 def test_from_segments_soup():

@@ -1,4 +1,4 @@
-"""Geometry primitives: angular measurements, cones, tubes, ray hits."""
+"""Geometry primitives: angular measurements, cones, the ray-hit kernel."""
 
 import math
 from fractions import Fraction
@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from fracvis.fractals import koch_generalized
 from fracvis.geom import (
+    EPS_GEOM,
     Annulus,
     Cone,
-    ParallelTube,
     Point,
-    RadialTube,
-    Segment,
     _convex_hull,
     _octagon_interior,
     angle_ratio,
@@ -26,11 +24,8 @@ from fracvis.geom import (
     hit_t_elementwise,
     intercone_bound,
     intercone_holds,
-    log_polar,
-    log_polar_inverse,
     min_angle_slope,
     point_segments_dist,
-    ray_segment_hit,
 )
 
 finite_coord = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
@@ -44,11 +39,6 @@ finite_coord = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 def test_point_rejects_non_finite():
     with pytest.raises(ValueError):
         Point(math.nan, 0.0)
-
-
-def test_segment_rejects_degenerate():
-    with pytest.raises(ValueError):
-        Segment(Point(1.0, 2.0), Point(1.0, 2.0))
 
 
 def test_annulus_membership_half_open():
@@ -66,36 +56,6 @@ def test_cone_membership_is_strict():
     assert not cone.contains((-1.0, 0.0))
     assert not cone.contains((0.0, 0.0))
     assert not cone.contains((1.0, 1.0))  # on the boundary
-
-
-def test_radial_tube_sides():
-    plus = RadialTube(Point(0.0, 0.0), Point(1.0, 0.0), 0.1, "plus")
-    minus = RadialTube(Point(0.0, 0.0), Point(1.0, 0.0), 0.1, "minus")
-    assert plus.contains((2.0, 0.0))
-    assert not plus.contains((0.5, 0.0))
-    assert minus.contains((0.5, 0.0))
-    assert not minus.contains((2.0, 0.0))
-
-
-@given(
-    st.floats(-2.0, 2.0),
-    st.floats(-2.0, 2.0),
-    st.floats(0.05, 0.8),
-)
-def test_radial_tube_sides_disjoint_and_miss_circle(px, py, r):
-    plus = RadialTube(Point(0.0, 0.0), Point(1.0, 0.0), r, "plus")
-    minus = RadialTube(Point(0.0, 0.0), Point(1.0, 0.0), r, "minus")
-    p = (px, py)
-    assert not (plus.contains(p) and minus.contains(p))
-    on_circle = (1.0 * math.cos(px), 1.0 * math.sin(px))
-    assert not plus.contains(on_circle)
-    assert not minus.contains(on_circle)
-
-
-def test_parallel_tube_mask():
-    tube = ParallelTube(Point(0.5, 0.0), 0.1, "plus")
-    pts = np.array([[0.55, 1.0], [0.55, -1.0], [0.7, 1.0]])
-    assert tube.mask(pts).tolist() == [True, False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -240,70 +200,50 @@ def test_intercone_random_configs(pn, ang, sigma, tau, t_frac, c_frac):
 
 
 # ---------------------------------------------------------------------------
-# log-polar chart
-# ---------------------------------------------------------------------------
-
-
-def test_log_polar_values():
-    assert log_polar((0.0, 0.0), (1.0, 0.0)) == pytest.approx((1.0, 0.0))
-    r, th = log_polar((0.0, 0.0), (0.0, 2.0))
-    assert (r, th) == pytest.approx((2.0, math.pi / 2))
-    with pytest.raises(ValueError):
-        log_polar((1.0, 1.0), (1.0, 1.0))
-
-
-@given(finite_coord, finite_coord, finite_coord, finite_coord)
-def test_log_polar_round_trip(x1, x2, u1, u2):
-    if math.hypot(u1 - x1, u2 - x2) < 1e-6:
-        return
-    r, th = log_polar((x1, x2), (u1, u2))
-    back = log_polar_inverse((x1, x2), r, th)
-    assert back == pytest.approx((u1, u2), abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
 # ray hits
 # ---------------------------------------------------------------------------
 
 
-def test_ray_segment_hit_examples():
-    seg = Segment(Point(1.0, -1.0), Point(1.0, 1.0))
-    assert ray_segment_hit((2.0, 0.0), math.pi, seg) == pytest.approx(1.0)
-    assert ray_segment_hit((2.0, 0.0), math.pi / 2, seg) is None
-    assert ray_segment_hit((2.0, 0.0), 0.0, seg) is None
+def _hit_t(origin, theta, seg):
+    """hit_t_elementwise for one ray against one segment row."""
+    ts = hit_t_elementwise(origin[0], origin[1], math.cos(theta),
+                           math.sin(theta), *np.array(seg, dtype=float)[:, None])
+    return float(ts[0])
 
 
 def test_ray_hits_grazing_collinear_nearest_endpoint():
-    # Ray along the segment's own line: the near endpoint is the hit.
-    seg = Segment(Point(1.0, 0.0), Point(0.0, 0.0))
-    t = ray_segment_hit((2.0, 0.0), math.pi, seg)
-    assert t == pytest.approx(1.0)
+    # Ray along the segment's own line: the near endpoint beyond the origin
+    # is the hit, from outside the segment and from on its line inside it.
+    assert _hit_t((2.0, 0.0), math.pi, (1.0, 0.0, 0.0, 0.0)) == pytest.approx(1.0)
+    assert _hit_t((2.0, 0.0), math.pi, (0.0, 0.0, 1.0, 0.0)) == pytest.approx(1.0)
+    assert _hit_t((0.5, 0.0), 0.0, (0.0, 0.0, 1.0, 0.0)) == pytest.approx(0.5)
 
 
 def test_ray_endpoint_hits_count():
-    seg = Segment(Point(1.0, 0.0), Point(1.0, 2.0))
-    t = ray_segment_hit((0.0, 0.0), 0.0, seg)
-    assert t == pytest.approx(1.0)
+    assert _hit_t((0.0, 0.0), 0.0, (1.0, 0.0, 1.0, 2.0)) == 1.0
+    assert _hit_t((0.0, 0.0), 0.0, (1.0, -2.0, 1.0, 0.0)) == 1.0
 
 
-def test_hit_t_elementwise_matches_scalar(rng):
-    segs = rng.uniform(-2, 2, size=(64, 4))
-    ox, oy = 3.0, -2.5
-    theta = rng.uniform(0, 2 * math.pi)
-    dx, dy = math.cos(theta), math.sin(theta)
-    ts = hit_t_elementwise(
-        ox, oy, dx, dy, segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
-    )
-    for row, t in zip(segs, ts):
-        if row[:2].tolist() == row[2:].tolist():
-            continue
-        scalar = ray_segment_hit(
-            (ox, oy), theta, Segment(Point(*row[:2]), Point(*row[2:]))
-        )
-        if math.isinf(t):
-            assert scalar is None
-        else:
-            assert scalar == pytest.approx(t)
+def test_ray_miss_gives_inf():
+    seg = (1.0, -1.0, 1.0, 1.0)
+    assert _hit_t((2.0, 0.0), math.pi, seg) == pytest.approx(1.0)
+    assert _hit_t((2.0, 0.0), math.pi / 2, seg) == math.inf  # parallel, off line
+    assert _hit_t((2.0, 0.0), 0.0, seg) == math.inf  # segment behind the ray
+    assert _hit_t((0.0, 0.0), math.pi / 2, (1.0, 1.0, 2.0, 1.0)) == math.inf
+    # Collinear but wholly behind the origin.
+    assert _hit_t((2.0, 0.0), 0.0, (0.0, 0.0, 1.0, 0.0)) == math.inf
+
+
+def test_ray_hit_at_origin_is_discarded():
+    # A segment through the origin is hit at t = 0, which is not a hit.
+    assert _hit_t((0.0, 0.0), 0.0, (0.0, -1.0, 0.0, 1.0)) == math.inf
+    # Just past EPS_GEOM the hit counts; at or below it, it does not.
+    tiny = 10.0 * EPS_GEOM
+    assert _hit_t((0.0, 0.0), 0.0, (tiny, -1.0, tiny, 1.0)) == pytest.approx(tiny)
+    at = 0.5 * EPS_GEOM
+    assert _hit_t((0.0, 0.0), 0.0, (at, -1.0, at, 1.0)) == math.inf
+    # A grazing segment starting at the origin reports its far endpoint.
+    assert _hit_t((0.0, 0.0), 0.0, (0.0, 0.0, 1.0, 0.0)) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

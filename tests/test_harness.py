@@ -133,6 +133,25 @@ def test_viewpoint_plan_validation():
         ViewpointPlan(region=(0.0, 0.0, 0.0, 1.0))
 
 
+def test_viewpoint_plan_rejects_fields_its_mode_ignores():
+    # Radii steer ring mode only and a region the other two; a plan that
+    # names one its mode does not use was silently ignoring it.
+    for mode in ("grid", "random"):
+        with pytest.raises(ValueError, match=f"{mode} mode takes no radii"):
+            ViewpointPlan(mode=mode, radii=(1.0, 2.0))
+        with pytest.raises(ValueError, match=f"{mode} mode takes no radii"):
+            ViewpointPlan.from_dict({"mode": mode, "radii": [1.0, 2.0]})
+    with pytest.raises(ValueError, match="ring mode takes no region"):
+        ViewpointPlan(region=(0.0, 0.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="ring mode takes no region"):
+        ViewpointPlan.from_dict({"region": [0.0, 0.0, 1.0, 1.0]})
+    ring = ViewpointPlan.from_dict({"mode": "ring", "radii": [1.0, 2.0]})
+    assert ring.radii == (1.0, 2.0)
+    grid = ViewpointPlan.from_dict({"mode": "grid", "region": [0.0, 0.0, 1.0, 1.0]})
+    assert grid.region == (0.0, 0.0, 1.0, 1.0)
+    assert ViewpointPlan.from_dict(grid.to_dict()) == grid
+
+
 def test_estimator_plan_validation():
     with pytest.raises(ValueError):
         EstimatorPlan(scale_policy="magic")

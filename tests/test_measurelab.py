@@ -16,12 +16,11 @@ from fracvis.fractals import (
     DiscreteMeasure,
     circle,
     from_segments,
-    koch_generalized,
     polyline,
     sample_arclength,
     uniform_measure,
 )
-from fracvis.geom import Annulus, Cone, ParallelTube, Point, RadialTube
+from fracvis.geom import Annulus, Cone, Point
 from fracvis.measurelab import (
     _BLOCK,
     DimEstimate,
@@ -34,15 +33,12 @@ from fracvis.measurelab import (
     dyadic_scales,
     energy_dimension,
     fit_loglog,
-    frostman_exponent,
     frostman_rescale,
     frostman_sup_profile,
     mass_bound_constants,
     riesz_energy,
     sector_mass_bound,
     sector_mass_check,
-    tube_mass,
-    tube_scaling_exponent,
 )
 
 KOCH_CLASSIC = math.log(4) / math.log(3)
@@ -54,7 +50,7 @@ def seg_measure(unit_segment):
 
 
 # ---------------------------------------------------------------------------
-# ball and tube masses
+# ball masses
 # ---------------------------------------------------------------------------
 
 
@@ -63,41 +59,6 @@ def test_ball_mass_counts_closed_ball():
     assert ball_mass(mu, (0.0, 0.0), 0.5) == pytest.approx(0.3)
     assert ball_mass(mu, (0.0, 0.0), 1.0) == pytest.approx(1.0)
     assert ball_mass(mu, (0.5, 0.0), 0.4) == pytest.approx(0.0)
-
-
-def test_tube_mass_parallel(seg_measure):
-    tube = ParallelTube(Point(0.5, -0.01), 0.1, "plus")
-    assert tube_mass(seg_measure, tube) == pytest.approx(0.2, abs=2e-3)
-
-
-def test_tube_mass_radial_splits_at_anchor(seg_measure):
-    # wide half-tubes split the segment at the anchor circle through x=0.5
-    far = RadialTube(Point(-10.0, 0.0), Point(0.5, 0.0), 5.0, "plus")
-    near = RadialTube(Point(-10.0, 0.0), Point(0.5, 0.0), 5.0, "minus")
-    assert tube_mass(seg_measure, far) == pytest.approx(0.5, abs=1e-3)
-    assert tube_mass(seg_measure, near) == pytest.approx(0.5, abs=1e-3)
-
-
-def test_tube_scaling_exponent_length_like(seg_measure):
-    r_grid = np.geomspace(0.2, 0.01, 8)
-    beta = tube_scaling_exponent(seg_measure, (0.5, -0.01), None, r_grid)
-    assert beta == pytest.approx(1.0, abs=0.02)
-
-
-def test_tube_scaling_exponent_atom_is_flat():
-    mu = DiscreteMeasure(np.array([[0.5, 0.0]] * 3), np.full(3, 1 / 3))
-    r_grid = np.geomspace(0.2, 0.01, 8)
-    assert tube_scaling_exponent(mu, (0.5, -0.01), None, r_grid) == 0.0
-
-
-def test_tube_scaling_exponent_rejects_bad_grids(seg_measure):
-    with pytest.raises(ValueError):
-        tube_scaling_exponent(seg_measure, (0.5, -0.01), None, [0.1, 0.2, 0.3, 0.4])
-    with pytest.raises(ValueError):
-        tube_scaling_exponent(seg_measure, (0.5, -0.01), None, [0.2, 0.1])
-    mu = DiscreteMeasure(np.array([[5.0, 5.0], [6.0, 5.0]]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="zero"):
-        tube_scaling_exponent(mu, (0.5, -0.01), None, np.geomspace(0.2, 0.01, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -119,27 +80,6 @@ def test_frostman_rescale_then_check(seg_measure):
     assert check_frostman(nu, 1.0, r)
     assert np.array_equal(nu.points, seg_measure.points)
     assert nu.total_mass < seg_measure.total_mass
-
-
-def test_frostman_exponent_values(seg_measure):
-    assert frostman_exponent(seg_measure, np.geomspace(0.01, 0.3, 8)) == pytest.approx(
-        1.0018372148566352
-    )
-    point_mass = DiscreteMeasure(np.zeros((5, 2)), np.full(5, 0.2))
-    assert frostman_exponent(point_mass, np.geomspace(0.01, 0.3, 8)) == 0.0
-    k6 = uniform_measure(koch_generalized(1.5, 6), 4096)
-    got = frostman_exponent(k6, np.geomspace(0.02, 0.5, 10))
-    assert got == pytest.approx(1.3904101434169742)
-    assert abs(got - 1.5) < 0.15
-
-
-def test_frostman_exponent_rejects_degenerate_inputs():
-    single = DiscreteMeasure(np.array([[0.0, 0.0]]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        frostman_exponent(single, np.geomspace(0.01, 0.3, 8))
-    two = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        frostman_exponent(two, [0.1, 0.2])
 
 
 # ---------------------------------------------------------------------------
