@@ -113,6 +113,20 @@ def test_visible_set_rejects_bad_viewpoints(unit_segment):
         visible_set(cantor_cross(1 / 3, 1), (4.0, 4.0))
 
 
+def test_first_hit_rejects_viewpoint_on_curve(unit_segment):
+    # The first-hit sweep refuses a viewpoint on the curve before casting.
+    with pytest.raises(ValueError, match="viewpoint lies on the curve"):
+        visible_set(unit_segment, (0.5, 0.0))
+
+
+def test_first_hit_rejects_point_cloud():
+    cc = cantor_cross(1 / 3, 2)
+    with pytest.raises(ValueError, match="segment set"):
+        visible_set(cc, (5.0, 5.0))
+    with pytest.raises(ValueError, match="segment set"):
+        SegmentIndex(cc)
+
+
 # ---------------------------------------------------------------------------
 # visible_oracle
 # ---------------------------------------------------------------------------
