@@ -493,7 +493,8 @@ def write_curve(curve: CurveApprox, path) -> None:
 
 
 def curve_from_json(text: str) -> CurveApprox:
-    doc = json.loads(text)
+    # curve_to_json writes -0.0 as "-0", which json reads as the integer 0.
+    doc = json.loads(text, parse_int=lambda v: -0.0 if v == "-0" else int(v))
     spec = CurveSpec.from_dict(doc["spec"])
     segs = np.asarray(doc["segments"], dtype=float).reshape(-1, 4)
     theo = doc.get("theoretical_dim")

@@ -5,7 +5,8 @@ diagnostics) reduces to a small vocabulary defined here: points, annuli
 ``A(x, d-, d+)``, open cones ``V(x, u, sigma)``, the subtended-angle measure
 ``arc_diam``, the angle-ratio and intercone inequalities, hit parameters of
 rays against segments, point-to-segment distances, the bounded expansion of
-ragged index ranges, and the exact diameter of a point set.
+ragged index ranges, the one sorted-window pair search built on it, and the
+exact diameter of a point set.
 
 Conventions
 -----------
@@ -158,23 +159,6 @@ def arc_diam(x, pts) -> float:
     return TWO_PI - largest
 
 
-def angle_ratio(p, a) -> float:
-    """cos of the angle at p between the chords to a and to -a.
-
-    Computes <p-a, p+a> / (|p-a| |p+a|).  Undefined when p equals a or -a.
-    With a = 0 this degenerates to 1 (the two chords coincide).
-    """
-    pv = _xy(p)
-    av = _xy(a)
-    pm = pv - av
-    pp = pv + av
-    n1 = float(np.hypot(*pm))
-    n2 = float(np.hypot(*pp))
-    if n1 <= EPS_GEOM or n2 <= EPS_GEOM:
-        raise ValueError("angle_ratio is undefined for p = a or p = -a")
-    return float(np.dot(pm, pp) / (n1 * n2))
-
-
 ANGLE_RATIO_LOWER = 0.5
 
 
@@ -203,9 +187,10 @@ def check_angle_ratio_bounds(a, pts, d_minus: float, d_plus: float,
     0 < |a| <= d-/2, every point lies in the annulus A(0, d-, d+), and the
     minimal slope alpha is <= 1.  Returns True iff every point p satisfies
 
-        1/2 <= angle_ratio(p, a) <= 1 - (9 / (17 d+^2)) (|a| alpha)^2
+        1/2 <= <p-a, p+a> / (|p-a| |p+a|) <= 1 - (9 / (17 d+^2)) (|a| alpha)^2
 
-    up to ``slack``.
+    up to ``slack``; the middle term is the cosine of the angle at p between
+    the chords to a and to -a.
     """
     p = _points_array(pts)
     if p.shape[0] == 0:
@@ -342,8 +327,7 @@ def point_segments_dist(p, segs: np.ndarray) -> np.ndarray:
 # Ragged ranges and their expansion budget
 # ---------------------------------------------------------------------------
 
-# Most expanded items (sweep candidates, crossing-search or energy-band
-# pairs) held at once.
+# Most expanded items (sweep candidates or window pairs) held at once.
 _CHUNK = 1 << 18
 
 
@@ -365,9 +349,8 @@ def _blocks(counts: np.ndarray):
 def _ragged_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Concatenate arange(starts[i], ends[i]) for every i, vectorised.
 
-    The one expansion behind the visibility sweep's candidates, crossing
-    search's segment pairs, the energy estimator's band pairs and box
-    counting's grid-line crossings.
+    The one expansion behind the visibility sweep's candidates, the pairs
+    of ``_window_pairs`` and box counting's grid-line crossings.
     """
     counts = ends - starts
     nonempty = counts > 0
@@ -381,6 +364,23 @@ def _ragged_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     out[0] = s[0]
     out[np.cumsum(c[:-1])] = s[1:] - (s[:-1] + c[:-1] - 1)
     return np.cumsum(out, out=out)
+
+
+def _window_pairs(keys: np.ndarray, reach: np.ndarray):
+    """Every pair (a, b) with b after a in stable key order, keys[b] <= reach[a].
+
+    The one pair search behind segment crossings, energy bands, the Riesz
+    energy and the Frostman profile.  Yields (a, b) index arrays in blocks
+    of at most ``_CHUNK`` pairs (or one item's pairs, if more), ordered by
+    a's position in key order, then by b's.
+    """
+    order = np.argsort(keys, kind="stable")
+    starts = np.arange(1, keys.size + 1)
+    ends = np.maximum(np.searchsorted(keys[order], reach[order], "right"), starts)
+    counts = ends - starts
+    for k0, k1 in _blocks(counts):
+        yield (order[np.repeat(np.arange(k0, k1), counts[k0:k1])],
+               order[_ragged_ranges(starts[k0:k1], ends[k0:k1])])
 
 
 # ---------------------------------------------------------------------------

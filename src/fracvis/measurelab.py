@@ -11,18 +11,17 @@ Two estimators, both reporting goodness of fit:
 * ``energy_dimension``: the largest exponent s whose discrete Riesz energy
   stays bounded as the sample grows (growth slope below
   ``ENERGY_SLOPE_THRESHOLD``), interpolated at the crossing.  Each energy
-  keeps only the pairs in a thin distance band, found without an all-pairs
-  scan: atoms are sorted along their wider axis and each is paired with
-  the later atoms inside a window on that axis.  The kept distances are
-  summed in the order of the blocked all-pairs scan, so the estimates do
-  not depend on how the pairs were found.
+  keeps only the pairs in a thin distance band, summed in row-major (i, j)
+  order, so the estimates do not depend on how the pairs were found.
 
-Plus the mass bounds the estimators are checked against: ball masses, the
-worst-case ball-mass profile sup_x mu(B(x, r)) over the measure's own atoms
-and the ball-growth check and rescaling built on it, the sector mass bound
-for measures with ball growth mu(B(x, r)) <= r**s, and the closed-form
+Plus the mass bounds the estimators are checked against: the worst-case
+ball-mass profile sup_x mu(B(x, r)) over the measure's own atoms and the
+ball-growth check and rescaling built on it, the sector mass bound for
+measures with ball growth mu(B(x, r)) <= r**s, and the closed-form
 constants chain (d0, r2, alpha0, alpha1, d1, c1, d2, c2) used by the
-separation estimates.
+separation estimates.  Band energies, the Riesz energy and the ball-mass
+profile all take their atom pairs from one sorted-axis window search,
+``_pairs_within``, in blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ from .geom import (
     CHECK_SLACK,
     Annulus,
     Cone,
-    _blocks,
     _ragged_ranges,
+    _window_pairs,
     _xy,
 )
 
@@ -48,8 +47,6 @@ ENERGY_SLOPE_THRESHOLD = 0.05
 
 # r^2 below which a box-count fit should not be trusted.
 R_SQUARED_VALID = 0.98
-
-_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -122,17 +119,26 @@ def fit_loglog(x, y) -> tuple[float, float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Mass queries
+# Pair distances
 # ---------------------------------------------------------------------------
 
 
-def ball_mass(mu: DiscreteMeasure, x, r: float) -> float:
-    """Mass of the closed ball B(x, r)."""
-    if r < 0.0:
-        raise ValueError("radius must be nonnegative")
-    d = mu.points - _xy(x)
-    inside = np.hypot(d[:, 0], d[:, 1]) <= r
-    return float(np.sum(mu.weights[inside]))
+def _pairs_within(pts: np.ndarray, hi: float):
+    """Atom pairs i < j at distance d <= hi, as blocks of (i, j, d) arrays.
+
+    Atoms are keyed by their coordinate on the axis of larger spread, and
+    ``geom._window_pairs`` pairs each with the later atoms no more than
+    2*hi further along it; the factor 2 keeps every pair whose computed
+    distance is at most hi inside the window despite rounding.  Blocks hold
+    at most ``geom._CHUNK`` candidates, also with hi = inf (all pairs).
+    """
+    c = pts[:, int(np.argmax(np.ptp(pts, axis=0)))]
+    for a, b in _window_pairs(c, c + 2.0 * hi):
+        i = np.minimum(a, b)
+        j = np.maximum(a, b)
+        d = np.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1])
+        keep = d <= hi
+        yield i[keep], j[keep], d[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -149,23 +155,25 @@ class SectorMassResult:
 
 
 def frostman_sup_profile(mu: DiscreteMeasure, r_grid) -> np.ndarray:
-    """sup over the measure's own atoms of ball mass, per radius."""
+    """sup over the measure's own atoms of closed-ball mass, per radius.
+
+    One pass over the atom pairs within the largest radius: each pair adds
+    each end's weight to the other's ball growth at the least radius at or
+    above its distance.  Cumulative sums over the sorted distinct radii,
+    plus each atom's own weight, give every mu(B(p_i, r)).
+    """
     radii = np.asarray(r_grid, dtype=float)
-    sup = np.zeros(radii.size)
-    pts = mu.points
+    if np.any(radii < 0.0):
+        raise ValueError("radii must be nonnegative")
+    r, back = np.unique(radii, return_inverse=True)
     w = mu.weights
-    for start in range(0, pts.shape[0], _BLOCK):
-        chunk = pts[start : start + _BLOCK]
-        d = np.hypot(
-            chunk[:, None, 0] - pts[None, :, 0],
-            chunk[:, None, 1] - pts[None, :, 1],
-        )
-        for i, r in enumerate(radii):
-            masses = (d <= r) @ w
-            m = float(masses.max())
-            if m > sup[i]:
-                sup[i] = m
-    return sup
+    n = w.size
+    growth = np.zeros(r.size * n)
+    for i, j, d in _pairs_within(mu.points, r[-1]):
+        cell = np.searchsorted(r, d) * n
+        growth += np.bincount(cell + i, weights=w[j], minlength=growth.size)
+        growth += np.bincount(cell + j, weights=w[i], minlength=growth.size)
+    return (np.cumsum(growth.reshape(r.size, n), axis=0) + w).max(axis=1)[back]
 
 
 def check_frostman(mu: DiscreteMeasure, s: float, r_grid,
@@ -261,37 +269,21 @@ def sector_mass_check(mu: DiscreteMeasure, x, sector, ann: Annulus, s: float,
 def riesz_energy(mu: DiscreteMeasure, s: float) -> float:
     """Off-diagonal double sum  sum_{i != j} w_i w_j |p_i - p_j|**(-s).
 
-    Blocked accumulation in a fixed order keeps the result independent of
-    any internal parallelism.  Coincident atoms make the sum undefined and
+    Every pair i < j comes from ``_pairs_within`` with no distance limit and
+    counts twice; the blocks are summed one by one in its fixed order, so
+    memory stays bounded.  Coincident atoms make the sum undefined and
     raise.
     """
     if s <= 0.0:
         raise ValueError("exponent must be positive")
-    pts = mu.points
     w = mu.weights
-    n = pts.shape[0]
-    if n < 2:
+    if w.size < 2:
         raise ValueError("energy needs at least two atoms")
     total = 0.0
-    # Square blocks over the upper triangle, row block first.
-    for i0 in range(0, n, _BLOCK):
-        pi = pts[i0 : i0 + _BLOCK]
-        wi = w[i0 : i0 + _BLOCK]
-        for j0 in range(i0, n, _BLOCK):
-            pj = pts[j0 : j0 + _BLOCK]
-            wj = w[j0 : j0 + _BLOCK]
-            d = np.hypot(pi[:, None, 0] - pj[None, :, 0],
-                         pi[:, None, 1] - pj[None, :, 1])
-            if i0 == j0:
-                iu = np.triu_indices(d.shape[0], k=1)
-                dv = d[iu]
-                if np.any(dv == 0.0):
-                    raise ValueError("coincident atoms make the energy undefined")
-                total += 2.0 * float(np.sum(wi[iu[0]] * wj[iu[1]] * dv**(-s)))
-            else:
-                if np.any(d == 0.0):
-                    raise ValueError("coincident atoms make the energy undefined")
-                total += 2.0 * float(np.sum((wi[:, None] * wj[None, :]) * d**(-s)))
+    for i, j, d in _pairs_within(mu.points, np.inf):
+        if np.any(d == 0.0):
+            raise ValueError("coincident atoms make the energy undefined")
+        total += 2.0 * float(np.sum(w[i] * w[j] * d**(-s)))
     return total
 
 
@@ -304,40 +296,21 @@ _ENERGY_BAND_RATIO = 4.0
 
 
 def _band_distances(pts: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Distances |p_i - p_j| in (lo, hi] over pairs i < j, in scan order.
+    """Distances |p_i - p_j| in (lo, hi] over pairs i < j, ordered by (i, j).
 
-    Atoms are sorted along the axis of larger spread, and each is paired
-    with the later atoms no more than 2*hi further along it; the factor 2
-    keeps every pair whose computed distance is at most hi inside the
-    window despite rounding.  Candidates are expanded in blocks under the
-    ``geom._CHUNK`` budget.  If every atom falls in one window the work is
-    that of the all-pairs scan, with the same bounded memory.
-
-    The kept distances come back in the order of a blocked all-pairs scan
-    of ``_BLOCK``-square blocks over the upper triangle, row block first,
-    row-major inside a block: by (i // _BLOCK, j // _BLOCK, i, j).  Floating
-    sums depend on order, so this keeps energies identical to that scan.
+    The pairs come from ``_pairs_within(pts, hi)``.  Floating sums depend on
+    order, so the kept distances are sorted row-major by (i, j), the order
+    of an all-pairs scan of the upper triangle, whatever blocks found them.
     """
-    axis = int(np.argmax(np.ptp(pts, axis=0)))
-    order = np.argsort(pts[:, axis], kind="stable")
-    c = pts[order, axis]
-    starts = np.arange(1, c.size + 1)
-    ends = np.searchsorted(c, c + 2.0 * hi, side="right")
-    counts = ends - starts
     kept_i, kept_j, kept_d = [], [], []
-    for k0, k1 in _blocks(counts):
-        a = order[np.repeat(np.arange(k0, k1), counts[k0:k1])]
-        b = order[_ragged_ranges(starts[k0:k1], ends[k0:k1])]
-        i = np.minimum(a, b)
-        j = np.maximum(a, b)
-        d = np.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1])
-        keep = (d > lo) & (d <= hi)
+    for i, j, d in _pairs_within(pts, hi):
+        keep = d > lo
         kept_i.append(i[keep])
         kept_j.append(j[keep])
         kept_d.append(d[keep])
     i = np.concatenate(kept_i)
     j = np.concatenate(kept_j)
-    return np.concatenate(kept_d)[np.lexsort((j, i, j // _BLOCK, i // _BLOCK))]
+    return np.concatenate(kept_d)[np.lexsort((j, i))]
 
 
 def _energy_profile(curve: CurveApprox, n: int, s_grid: np.ndarray,
@@ -355,8 +328,9 @@ def _energy_profile(curve: CurveApprox, n: int, s_grid: np.ndarray,
     Averaging over independent draws tames the remaining count noise.
 
     The band holds a few pairs per atom, so ``_band_distances`` finds them
-    without computing all n(n-1)/2 distances, in the all-pairs scan's
-    order, which keeps every energy bit-for-bit equal to that scan's.
+    without computing all n(n-1)/2 distances and returns them in row-major
+    (i, j) order, which keeps every energy bit-for-bit equal to that of an
+    all-pairs scan of the upper triangle.
     """
     lo = diam / n
     hi = _ENERGY_BAND_RATIO * diam / n

@@ -8,8 +8,6 @@ and at the theoretical ceiling.
 
 from __future__ import annotations
 
-import math
-
 from .fractals import CurveApprox
 from .visibility import VisibleSet
 

@@ -17,8 +17,8 @@ resolve to the lower segment index everywhere, which keeps every output
 byte-reproducible, and the result does not depend on candidate order.
 Candidates are expanded (by ``geom._ragged_ranges``) in contiguous probe
 ranges of at most ``geom._CHUNK`` (probe, segment) pairs, and crossing
-search expands its pairs in blocks of the same size, so memory stays
-bounded as curves get finer.
+search takes its pairs from ``geom._window_pairs`` in blocks of the same
+size, so memory stays bounded as curves get finer.
 
 ``visible_oracle`` is the independent brute-force check: it casts the
 chord to a curve point against every segment in one
@@ -33,12 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractals import CurveApprox, DiscreteMeasure, points_at_arclength
+from .fractals import CurveApprox, DiscreteMeasure, _fnum, points_at_arclength
 from .geom import (
     EPS_GEOM,
     TWO_PI,
     _blocks,
     _ragged_ranges,
+    _window_pairs,
     _xy,
     hit_t_elementwise,
     point_segments_dist,
@@ -96,29 +97,21 @@ def find_segment_crossings(curve: CurveApprox) -> np.ndarray:
 
     Pairs sharing an endpoint (chain neighbours) are skipped; collinear
     overlaps contribute nothing because their switch angles are already
-    endpoint events.  Uses a sweep over bounding-box x-intervals, so the
-    cost is near-linear for curves without heavy box overlap.  The x-overlap
-    pairs are expanded in blocks of sorted segments of at most
-    ``geom._CHUNK`` pairs; the points come out in the same order for any
-    block size.
+    endpoint events.  Candidate pairs are the x-interval overlaps listed by
+    ``geom._window_pairs`` (keys xmin, reach xmax) whose y-intervals also
+    overlap, so the cost is near-linear for curves without heavy box
+    overlap.  The points come out in the window's pair order, the same for
+    any block size.
     """
     segs = curve.segments
-    n = segs.shape[0]
-    if n < 2:
+    if segs.shape[0] < 2:
         return np.empty((0, 2))
     xmin = np.minimum(segs[:, 0], segs[:, 2])
     xmax = np.maximum(segs[:, 0], segs[:, 2])
     ymin = np.minimum(segs[:, 1], segs[:, 3])
     ymax = np.maximum(segs[:, 1], segs[:, 3])
-    order = np.argsort(xmin, kind="stable")
-    sx = xmin[order]
-    starts = np.arange(n, dtype=np.int64) + 1
-    ends = np.maximum(np.searchsorted(sx, xmax[order], side="right"), starts)
-    counts = ends - starts
     parts = []
-    for p0, p1 in _blocks(counts):
-        i = order[np.repeat(np.arange(p0, p1, dtype=np.int64), counts[p0:p1])]
-        j = order[_ragged_ranges(starts[p0:p1], ends[p0:p1])]
+    for i, j in _window_pairs(xmin, xmax):
         keep = ~((ymin[i] > ymax[j]) | (ymin[j] > ymax[i]))
         parts.append(_pair_crossings(segs, i[keep], j[keep]))
     return np.concatenate(parts)
@@ -405,24 +398,18 @@ def sample_visible(vs: VisibleSet, n: int):
 # Visible-set JSON
 # ---------------------------------------------------------------------------
 
-_FMT = ".17g"
-
-
-def _f(v: float) -> str:
-    return format(float(v), _FMT)
-
 
 def visible_set_to_json(vs: VisibleSet) -> str:
     rows = ",".join(
-        f"[{p.segment_index},{_f(p.start[0])},{_f(p.start[1])},"
-        f"{_f(p.end[0])},{_f(p.end[1])}]"
+        f"[{p.segment_index},{_fnum(p.start[0])},{_fnum(p.start[1])},"
+        f"{_fnum(p.end[0])},{_fnum(p.end[1])}]"
         for p in vs.pieces
     )
     return (
         "{"
-        f"\"viewpoint\":[{_f(vs.viewpoint.x)},{_f(vs.viewpoint.y)}],"
+        f"\"viewpoint\":[{_fnum(vs.viewpoint.x)},{_fnum(vs.viewpoint.y)}],"
         f"\"pieces\":[{rows}],"
-        f"\"total_length\":{_f(vs.total_length)},"
-        f"\"angular_coverage\":{_f(vs.angular_coverage)}"
+        f"\"total_length\":{_fnum(vs.total_length)},"
+        f"\"angular_coverage\":{_fnum(vs.angular_coverage)}"
         "}"
     )

@@ -8,7 +8,6 @@ import math
 import warnings
 
 import numpy as np
-import pytest
 
 from fracvis.fractals import (
     CurveSpec,

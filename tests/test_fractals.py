@@ -208,10 +208,10 @@ def test_uniform_measure_weights_sum(n):
 
 
 def test_uniform_measure_circle_ball_mass():
-    from fracvis.measurelab import ball_mass
-
     mu = uniform_measure(circle((0.0, 0.0), 1.0, 4096), 1000)
-    assert ball_mass(mu, (1.0, 0.0), 0.1) == pytest.approx(0.1 / math.pi, rel=0.05)
+    d = mu.points - (1.0, 0.0)
+    mass = float(np.sum(mu.weights[np.hypot(d[:, 0], d[:, 1]) <= 0.1]))
+    assert mass == pytest.approx(0.1 / math.pi, rel=0.05)
 
 
 def test_sample_arclength_endpoints(unit_segment):
@@ -295,9 +295,16 @@ def test_curve_json_rows_match_per_coordinate_format():
         for row in soup.segments
     )
     assert curve_to_json(soup).endswith(f"\"segments\":[{want}]}}")
-    # "-0" reads back as 0, so compare values, not bytes.
     back = curve_from_json(curve_to_json(soup))
-    assert np.array_equal(back.segments, soup.segments)
+    assert back.segments.tobytes() == soup.segments.tobytes()
+
+
+def test_curve_json_keeps_negative_zero():
+    curve = polyline([(0.0, -0.0), (1.0, 0.0), (1.0, 1.0)])
+    text = curve_to_json(curve)
+    back = curve_from_json(text)
+    assert np.signbit(back.segments[0, 1])
+    assert curve_to_json(back) == text
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

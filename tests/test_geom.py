@@ -2,12 +2,14 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from fracvis import geom
 from fracvis.fractals import koch_generalized
 from fracvis.geom import (
     EPS_GEOM,
@@ -16,7 +18,6 @@ from fracvis.geom import (
     Point,
     _convex_hull,
     _octagon_interior,
-    angle_ratio,
     angle_ratio_upper,
     arc_diam,
     check_angle_ratio_bounds,
@@ -101,18 +102,8 @@ def test_arc_diam_rotation_and_scale_invariant(pts, rot, scale):
 
 
 # ---------------------------------------------------------------------------
-# angle_ratio and its two-sided bound
+# The two-sided angle-ratio bound
 # ---------------------------------------------------------------------------
-
-
-def test_angle_ratio_values():
-    assert angle_ratio((1.0, 0.0), (0.1, 0.0)) == pytest.approx(1.0)
-    assert angle_ratio((1.0, 0.0), (0.0, 0.1)) == pytest.approx(0.99 / 1.01)
-    assert angle_ratio((1.0, 0.0), (0.0, 0.0)) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        angle_ratio((0.5, 0.5), (0.5, 0.5))
-    with pytest.raises(ValueError):
-        angle_ratio((0.5, 0.5), (-0.5, -0.5))
 
 
 def test_min_angle_slope_and_upper_bound():
@@ -335,3 +326,28 @@ def test_octagon_filter_keeps_the_hull():
     inside = _octagon_interior(pts)
     assert np.count_nonzero(~inside) < pts.shape[0] // 10
     assert np.array_equal(_convex_hull(pts[~inside]), _convex_hull(pts))
+
+
+# ---------------------------------------------------------------------------
+# The sorted-window pair search
+# ---------------------------------------------------------------------------
+
+
+@given(keys=st.lists(st.integers(0, 8), min_size=0, max_size=60),
+       data=st.data(), chunk=st.sampled_from([1, 300, geom._CHUNK]))
+def test_window_pairs_yield_each_pair_once_in_order(keys, data, chunk):
+    # Few distinct keys make ties; reach falls below, at and above keys.
+    keys = np.array(keys, dtype=float)
+    offsets = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0, 9.0]),
+                                 min_size=keys.size, max_size=keys.size))
+    reach = keys + np.array(offsets)
+    order = np.argsort(keys, kind="stable")
+    want = [(order[p], order[q]) for p in range(keys.size)
+            for q in range(p + 1, keys.size) if keys[order[q]] <= reach[order[p]]]
+    with mock.patch.object(geom, "_CHUNK", chunk):
+        blocks = list(geom._window_pairs(keys, reach))
+    got = [pair for a, b in blocks for pair in zip(a.tolist(), b.tolist())]
+    assert got == [(int(a), int(b)) for a, b in want]
+    # Each block holds at most _CHUNK pairs, or one item's pairs.
+    for a, _ in blocks:
+        assert a.size <= chunk or np.unique(a).size == 1

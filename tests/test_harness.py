@@ -2,7 +2,6 @@
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fracvis import cli
-from fracvis.fractals import CurveSpec, curve_to_json, generate, koch_generalized
+from fracvis.fractals import CurveSpec, curve_to_json, generate
 from fracvis.geom import point_segments_dist
 from fracvis.harness import (
     EstimatorPlan,

@@ -1,6 +1,7 @@
 """Mass profiles, energies, dimension estimators, and the constants chain."""
 
 import math
+import subprocess
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -8,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fracvis import geom, measurelab
@@ -22,12 +23,10 @@ from fracvis.fractals import (
 )
 from fracvis.geom import Annulus, Cone, Point
 from fracvis.measurelab import (
-    _BLOCK,
     DimEstimate,
     _band_distances,
     _cells_of_segments,
     _energy_profile,
-    ball_mass,
     box_dimension,
     check_frostman,
     dyadic_scales,
@@ -50,18 +49,6 @@ def seg_measure(unit_segment):
 
 
 # ---------------------------------------------------------------------------
-# ball masses
-# ---------------------------------------------------------------------------
-
-
-def test_ball_mass_counts_closed_ball():
-    mu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.3, 0.7]))
-    assert ball_mass(mu, (0.0, 0.0), 0.5) == pytest.approx(0.3)
-    assert ball_mass(mu, (0.0, 0.0), 1.0) == pytest.approx(1.0)
-    assert ball_mass(mu, (0.5, 0.0), 0.4) == pytest.approx(0.0)
-
-
-# ---------------------------------------------------------------------------
 # frostman profile machinery
 # ---------------------------------------------------------------------------
 
@@ -71,6 +58,59 @@ def test_frostman_sup_profile_monotone(seg_measure):
     sup = frostman_sup_profile(seg_measure, r)
     assert np.all(np.diff(sup) >= 0.0)
     assert sup[-1] == pytest.approx(1.0)
+
+
+def _dense_sup_profile(mu, radii):
+    """Every atom's ball mass from the full distance matrix, per radius."""
+    p = mu.points
+    d = np.hypot(p[:, None, 0] - p[None, :, 0], p[:, None, 1] - p[None, :, 1])
+    return np.array([((d <= r) @ mu.weights).max() for r in radii])
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+       dyadic=st.booleans(), chunk=st.sampled_from([1, 300, geom._CHUNK]))
+def test_frostman_sup_profile_matches_dense_reference(seed, n, dyadic, chunk):
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 6, size=(n, 2)).astype(float)
+    w = rng.integers(1, 64, size=n) / 64.0 if dyadic else rng.random(n) + 0.01
+    mu = DiscreteMeasure(pts, w)
+    # Lattice pair distances, computed as the profile computes them, so
+    # some radii sit exactly on pair distances; unsorted, with repeats.
+    on_pairs = np.hypot(*rng.integers(0, 4, size=(2, 5)).astype(float))
+    radii = rng.permutation(np.concatenate([on_pairs, [0.0, 0.5, 2.5, 2.5, 9.0]]))
+    with mock.patch.object(geom, "_CHUNK", chunk):
+        got = frostman_sup_profile(mu, radii)
+    want = _dense_sup_profile(mu, radii)
+    if dyadic:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_frostman_sup_profile_rejects_negative_radius(seg_measure):
+    with pytest.raises(ValueError):
+        frostman_sup_profile(seg_measure, [0.1, -0.1])
+
+
+_FROSTMAN_MEMORY_PROBE = """
+import numpy as np
+from fracvis.fractals import koch_generalized, uniform_measure
+from fracvis.measurelab import frostman_sup_profile
+mu = uniform_measure(koch_generalized(1.5, 7), 30000)
+assert frostman_sup_profile(mu, np.geomspace(1e-4, 1e-2, 8))[-1] > 0.0
+with open("/proc/self/status") as fh:
+    print(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_frostman_sup_profile_peak_rss_is_bounded():
+    # Dense 2048-row distance blocks over 30k atoms peaked near 1.9 GB.
+    # VmHWM, not ru_maxrss: see test_visibility's memory probe.
+    out = subprocess.run([sys.executable, "-c", _FROSTMAN_MEMORY_PROBE],
+                         check=True, capture_output=True, text=True, timeout=300)
+    peak_mb = int(out.stdout.split()[-1]) / 1024.0
+    assert peak_mb <= 300.0
 
 
 def test_frostman_rescale_then_check(seg_measure):
@@ -152,6 +192,30 @@ def test_riesz_energy_rejects_coincident_atoms():
     mu = DiscreteMeasure(np.zeros((2, 2)), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         riesz_energy(mu, 1.0)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 120),
+       chunk=st.sampled_from([1, 300, geom._CHUNK]))
+def test_riesz_energy_matches_dense_triangle(seed, n, chunk):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, 2)) * rng.uniform(0.01, 10.0, size=2)
+    w = rng.random(n) + 0.01
+    s = float(rng.uniform(0.1, 1.9))
+    with mock.patch.object(geom, "_CHUNK", chunk):
+        got = riesz_energy(DiscreteMeasure(pts, w), s)
+    i, j = np.triu_indices(n, k=1)
+    d = np.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1])
+    assert got == pytest.approx(2.0 * np.sum(w[i] * w[j] * d**(-s)), rel=1e-12)
+
+
+def test_riesz_energy_rejects_coincident_atoms_past_first_block():
+    # 100 atoms on a line with the last one repeated: with blocks of 300
+    # pairs the coincident pair comes in the last block.
+    pts = np.column_stack([np.append(np.arange(100.0), 99.0), np.zeros(101)])
+    mu = DiscreteMeasure(pts, np.full(101, 1.0 / 101))
+    with mock.patch.object(geom, "_CHUNK", 300):
+        with pytest.raises(ValueError, match="coincident"):
+            riesz_energy(mu, 1.0)
 
 
 def test_riesz_energy_growth_on_segment(unit_segment):
@@ -259,17 +323,11 @@ def test_energy_dimension_fixture_values(unit_segment, koch7, circle_1024):
 
 
 def _scan_band_distances(pts, lo, hi):
-    """The blocked all-pairs scan that the band search replaced."""
-    n = pts.shape[0]
+    """An all-pairs scan of the upper triangle, row-major in (i, j)."""
     kept = []
-    for i0 in range(0, n, _BLOCK):
-        pi = pts[i0 : i0 + _BLOCK]
-        for j0 in range(i0, n, _BLOCK):
-            pj = pts[j0 : j0 + _BLOCK]
-            d = np.hypot(pi[:, None, 0] - pj[None, :, 0],
-                         pi[:, None, 1] - pj[None, :, 1])
-            d = d[np.triu_indices(d.shape[0], k=1)] if i0 == j0 else d.ravel()
-            kept.append(d[(d > lo) & (d <= hi)])
+    for i in range(pts.shape[0] - 1):
+        d = np.hypot(pts[i, 0] - pts[i + 1:, 0], pts[i, 1] - pts[i + 1:, 1])
+        kept.append(d[(d > lo) & (d <= hi)])
     return np.concatenate(kept)
 
 
@@ -329,7 +387,7 @@ def test_band_distances_match_all_pairs_scan(kind, seed, n, chunk):
 
 
 def test_band_distances_match_scan_past_one_block(koch7):
-    # 5000 atoms span three _BLOCK rows, so the scan order crosses blocks.
+    # Samples past energy_dimension's largest default size (2048).
     for pts, lo, hi in (_band_points("lattice", 1, 5000),
                         _band_points("cloud", 2, 5000)):
         assert np.array_equal(_band_distances(pts, lo, hi),
