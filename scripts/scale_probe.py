@@ -9,8 +9,10 @@ Each level runs in a fresh interpreter.  It builds
 the sweep's d_hat), estimates its energy dimension (``energy_dimension(curve)``
 on the default grid), builds its ``SegmentIndex``, then computes one
 ``visible_set`` from the first ring viewpoint of ``plan_viewpoints``
-(seed 0), and prints the wall time of each step and the process's
-``ru_maxrss`` after it.  The launcher imports neither numpy nor fracvis,
+(seed 0) and one from each of the four viewpoints of a 2x2 grid (the
+``koch-deep`` benchmark's), and prints the wall time of each step and the
+process's ``ru_maxrss`` after it; the grid line gives the median and the
+max of its four calls, as a call's cost depends on the view direction.  The launcher imports neither numpy nor fracvis,
 because a child's ``ru_maxrss`` starts from its launcher's peak.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import multiprocessing
 import resource
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -60,6 +63,14 @@ def _probe(level: int) -> None:
     vs = visible_set(curve, vp, index)
     report("visible_set", t0, f"{len(vs.pieces)} pieces from "
                               f"({vp[0]:.4f}, {vp[1]:.4f})")
+    times = []
+    for vp in plan_viewpoints(curve, ViewpointPlan(mode="grid", count=4), SEED):
+        t0 = time.perf_counter()
+        visible_set(curve, vp, index)
+        times.append(time.perf_counter() - t0)
+    print(f"L{level} {'  grid median':<14} {statistics.median(times):8.3f} s "
+          f"rss {_rss_mb():7.1f} MB  visible_set from 4 grid viewpoints, "
+          f"max {max(times):.3f} s", flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:

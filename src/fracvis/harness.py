@@ -347,17 +347,22 @@ def _estimator_window(curve: CurveApprox,
 def _row_for_viewpoint(curve: CurveApprox, index: SegmentIndex | None,
                        vp: np.ndarray, vp_index: int,
                        config: ExperimentConfig) -> SweepRow:
-    dist = float(point_segments_dist(vp, curve.segments).min())
-    row = SweepRow(vp_index=vp_index, vp_x=float(vp[0]), vp_y=float(vp[1]),
-                   dist_to_set=dist)
+    vx, vy = float(vp[0]), float(vp[1])
     try:
         vs = visible_set(curve, vp, index)
-        row.n_pieces = len(vs.pieces)
-        row.visible_length = vs.total_length
-        row.angular_coverage = vs.angular_coverage
-        if not vs.pieces:
-            row.error_flag = "empty_visible_set"
-            return row
+    except ValueError as exc:
+        # visible_set measures the distance itself; only a refusal needs it here.
+        dist = float(point_segments_dist(vp, curve.segments).min())
+        return SweepRow(vp_index=vp_index, vp_x=vx, vp_y=vy, dist_to_set=dist,
+                        error_flag=str(exc).replace(",", ";"))
+    row = SweepRow(vp_index=vp_index, vp_x=vx, vp_y=vy,
+                   dist_to_set=vs.viewpoint.dist_to_set, n_pieces=len(vs.pieces),
+                   visible_length=vs.total_length,
+                   angular_coverage=vs.angular_coverage)
+    if not vs.pieces:
+        row.error_flag = "empty_visible_set"
+        return row
+    try:
         window = _estimator_window(curve, config.estimator)
         # Samples must resolve the finest counting scale or boxes on the
         # visible pieces go uncounted.

@@ -15,10 +15,18 @@ candidates hitting at exactly that t, the lowest segment index.  So ties
 where a ray meets two segments at the same distance (shared endpoints)
 resolve to the lower segment index everywhere, which keeps every output
 byte-reproducible, and the result does not depend on candidate order.
-Candidates are expanded (by ``geom._ragged_ranges``) in contiguous probe
-ranges of at most ``geom._CHUNK`` (probe, segment) pairs, and crossing
-search takes its pairs from ``geom._window_pairs`` in blocks of the same
-size, so memory stays bounded as curves get finer.
+
+That independence allows front-to-back culling, after the hierarchical
+z-buffer of Greene, Kass and Miller (SIGGRAPH 1993).  The segments are
+taken nearest first, by a lower bound on their distance from x, and a
+segment whose bound lies beyond the current first hit of every probe it
+spans can neither win nor tie, so its (probe, segment) candidates are
+never expanded.  On a Koch curve of 65k segments about a fifth of the
+candidates get expanded, at 1M segments about a twentieth.
+Candidates are expanded (by ``geom._ragged_ranges``) in batches of at most
+``geom._CHUNK`` pairs plus one span's, and crossing search takes its pairs
+from ``geom._window_pairs`` in blocks of ``geom._CHUNK``, so memory stays
+bounded as curves get finer.
 
 ``visible_oracle`` is the independent brute-force check: it casts the
 chord to a curve point against every segment in one
@@ -33,11 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geom
 from .fractals import CurveApprox, DiscreteMeasure, _fnum, points_at_arclength
 from .geom import (
     EPS_GEOM,
     TWO_PI,
-    _blocks,
     _ragged_ranges,
     _window_pairs,
     _xy,
@@ -78,11 +86,18 @@ class VisibleSet:
     angular_coverage: float
 
 
-def _reject_bad_viewpoint(curve: CurveApprox, o: np.ndarray) -> float:
+# Probes per tile of the sweep's best_t maxima.
+_TILE = 64
+# The cull's rounding margin, in units of machine epsilon (see _cull_bound).
+_CULL_C = 128
+
+
+def _reject_bad_viewpoint(curve: CurveApprox, o: np.ndarray) -> np.ndarray:
+    """Distance from o to each segment; raises unless o is off a segment set."""
     if curve.is_point_cloud or np.any(curve.lengths() <= 0.0):
         raise ValueError("visibility requires a segment set")
-    d = float(point_segments_dist(o, curve.segments).min())
-    if d <= EPS_GEOM:
+    d = point_segments_dist(o, curve.segments)
+    if float(d.min()) <= EPS_GEOM:
         raise ValueError("viewpoint lies on the curve")
     return d
 
@@ -175,7 +190,86 @@ class SegmentIndex:
 # ---------------------------------------------------------------------------
 
 
-def _first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num) -> np.ndarray:
+def _spans(pa, pb, probes, base):
+    """Each segment's probes: the ranges [starts, stops) with segment ids q_id.
+
+    A segment's span runs from its endpoint angles pa, pb the short way
+    round.  Spans are mapped into the frame starting at base, the first
+    event, and the ones that wrap past the end of the frame are split.
+    """
+    width = np.mod(pb - pa, TWO_PI)
+    flip = width > math.pi
+    lo = np.where(flip, pb, pa)
+    w = np.where(flip, TWO_PI - width, width)
+    lo_f = base + np.mod(lo - base, TWO_PI)
+    hi_f = lo_f + w
+    seg_ids = np.arange(pa.size, dtype=np.int64)
+    wrap = hi_f > base + TWO_PI
+    q_lo = np.concatenate([lo_f, np.full(np.count_nonzero(wrap), base)])
+    q_hi = np.concatenate([hi_f, hi_f[wrap] - TWO_PI])
+    q_id = np.concatenate([seg_ids, seg_ids[wrap]])
+    starts = np.searchsorted(probes, q_lo, side="right")
+    stops = np.maximum(np.searchsorted(probes, q_hi, side="left"), starts)
+    return starts, stops, q_id
+
+
+def _cull_bound(segs, o, dmin, ex, ey, num) -> np.ndarray:
+    """lb[s] <= every hit distance t that the sweep computes for segment s.
+
+    Exactly, a ray inside the angular span of s meets s at distance at
+    least dmin[s].  Rounding moves the computed t by a relative error that
+    scales with kappa = far / line, where far is the farther endpoint's
+    distance from o and line the distance from o to the line of s (so t
+    lies in [dmin, far], and t / line bounds the conditioning of both num
+    and the denominator).  With eps the machine epsilon:
+
+    * num = (a - o) x e: its products sum to at most sqrt(2) |a - o| |e|
+      <= sqrt(2) kappa |num| in size, so it is off by <= 2.2 kappa eps
+      relatively; the denominator cos ey - sin ex, with cos and sin
+      within an ulp, by <= 2.9 kappa eps; the division and the probe
+      direction's length add 1.5 eps.  In all, t is off by <= 8 kappa eps.
+    * A probe can lie outside the exact span by the angle rounding between
+      endpoint and probe: about a dozen roundings (arctan2, the reductions
+      by TWO_PI, the span width, the frame shift, the wrap split and the
+      probe midpoint), each at most half an ulp of 4 pi (4 eps), plus
+      TWO_PI's own error, sum to delta < 50 eps.  Past the span the ray
+      meets the line at a distance of at least dmin (1 - kappa delta).
+    * point_segments_dist forms the nearest point in absolute coordinates,
+      so dmin itself may be high by <= 5 kappa eps dmin + 2 eps |o|_inf.
+
+    These add up to under 63 kappa eps dmin + 2 eps |o|_inf; c = _CULL_C
+    = 128 doubles that for second-order terms, and
+    lb = dmin (1 - c eps kappa) - c eps |o|_inf.  Segments seen end-on,
+    where c eps kappa >= 1 (kappa is inf on exactly collinear ones), get
+    lb <= 0 below every hit, so they are never culled.
+    """
+    # kappa = far * |e| / |num|, as |num| / |e| is the distance to the line.
+    kappa = np.maximum(np.hypot(segs[:, 0] - o[0], segs[:, 1] - o[1]),
+                       np.hypot(segs[:, 2] - o[0], segs[:, 3] - o[1]))
+    kappa *= np.hypot(ex, ey)
+    with np.errstate(divide="ignore"):
+        kappa /= np.abs(num)
+    c_eps = _CULL_C * np.finfo(float).eps
+    return dmin * (1.0 - c_eps * kappa) - c_eps * float(np.abs(o).max())
+
+
+def _range_max_table(values: np.ndarray) -> np.ndarray:
+    """Sparse table: row j holds the maxima of values[i:i + 2**j]."""
+    table = np.full((max(values.size, 1).bit_length(), values.size), -np.inf)
+    table[0] = values
+    for j in range(1, table.shape[0]):
+        w = 1 << (j - 1)
+        np.maximum(table[j - 1, :-w], table[j - 1, w:], out=table[j, :-w])
+    return table
+
+
+def _range_max(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max(values[lo[i]:hi[i] + 1]) for every i, from _range_max_table(values)."""
+    j = np.frexp(hi - lo + 1)[1] - 1
+    return np.maximum(table[j, lo], table[j, hi + 1 - (1 << j)])
+
+
+def _first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num, lb) -> np.ndarray:
     """Segment first hit by each probe ray, or -1 where the ray misses.
 
     Probe k's candidates are the spans i with starts[i] <= k < stops[i],
@@ -183,29 +277,57 @@ def _first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num) -> np.ndarray:
     line of segment s at t = num[s] / (cos_p[k] ey[s] - sin_p[k] ex[s]).
     The winner is a min-reduction: least t, then the lowest segment index
     among candidates at exactly that t.  Misses (t = inf) never win.
-    Candidates are expanded in contiguous probe ranges of at most geom._CHUNK
-    (or one probe's worth, if more); each range holds all of its probes'
-    candidates, so the ranges' reductions are independent and their sizes
-    bound the memory.  A span joins the live set at the range holding its
-    start and leaves it after the range holding its stop, so each range
-    touches only the spans that reach into it.
+
+    lb[s] lies below every t that segment s's candidates evaluate to (see
+    ``_cull_bound``).  The spans are expanded front to back, in stable
+    order of lb, in batches whose candidate budgets start at geom._CHUNK / 16
+    and double up to geom._CHUNK, so the budgets bound the memory (a span
+    with more candidates than the room left in a batch joins it whole).
+    After the first batch, a span is checked when its turn comes and
+    dropped if its lb exceeds the largest best_t over its probes: its t
+    then lie strictly above every final best_t it could reach, so it holds
+    neither a winner nor a tie.  The reduction does not depend on the
+    order of candidates, so the result is the one every candidate would
+    give.  The largest best_t comes from the maxima over tiles of _TILE
+    probes; a span's tiles cover a superset of its probes, so this only
+    loosens the bound.  A tile's maximum is recomputed only when one of
+    its best_t fell in the batch just run.
     """
     m = cos_p.size
     n = ex.size
-    per_probe = np.cumsum(np.bincount(starts, minlength=m + 1)
-                          - np.bincount(stops, minlength=m + 1))[:m]
-    best_t = np.full(m, np.inf)
+    n_tiles = -(-m // _TILE)
+    # Padding probes read -inf, so they never raise a tile's maximum.
+    best_t = np.full(n_tiles * _TILE, np.inf)
+    best_t[m:] = -np.inf
     best_seg = np.full(m, n, dtype=np.int64)
-    by_start = np.argsort(starts)
-    sorted_starts = starts[by_start]
-    live = np.empty(0, dtype=np.int64)
-    for k0, k1 in _blocks(per_probe):
-        i0, i1 = np.searchsorted(sorted_starts, [k0, k1])
-        live = np.concatenate([live, by_start[i0:i1]])
-        lo_k = np.maximum(starts[live], k0)
-        hi_k = np.minimum(stops[live], k1)
-        cand_k = _ragged_ranges(lo_k, hi_k)
-        cand_seg = np.repeat(q_id[live], hi_k - lo_k)
+    tile_max = np.full(n_tiles, np.inf)
+    counts = stops - starts
+    order = np.argsort(lb[q_id], kind="stable")
+    order = order[counts[order] > 0]
+    cum = np.concatenate([[0], np.cumsum(counts[order])])
+    pos = 0
+    budget = max(geom._CHUNK >> 4, 1)
+    table = None
+    while pos < order.size:
+        # Fill the batch from the next spans in lb order, dropping those
+        # that cannot win, until it holds at least half its budget.
+        parts = []
+        room = budget
+        while room > budget // 2 and pos < order.size:
+            end = max(int(np.searchsorted(cum, cum[pos] + room, side="right")) - 1,
+                      pos + 1)
+            span = order[pos:end]
+            pos = end
+            if table is not None:
+                reach = _range_max(table, starts[span] // _TILE,
+                                   (stops[span] - 1) // _TILE)
+                span = span[lb[q_id[span]] <= reach]
+            parts.append(span)
+            room -= int(counts[span].sum())
+        batch = np.concatenate(parts)
+        budget = min(2 * budget, geom._CHUNK)
+        cand_k = _ragged_ranges(starts[batch], stops[batch])
+        cand_seg = np.repeat(q_id[batch], counts[batch])
         # A probe strictly inside a span always meets its segment, so no
         # extent check is needed here.  A zero denominator gives +-inf or
         # nan, which the t > EPS_GEOM test turns into a miss like t <= 0.
@@ -215,12 +337,21 @@ def _first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             t /= denom
         t[~(t > EPS_GEOM)] = np.inf
+        before = best_t[cand_k]
         np.minimum.at(best_t, cand_k, t)
+        after = best_t[cand_k]
+        # Where best_t fell, no segment of an earlier batch ties it.
+        fell = cand_k[after < before]
+        best_seg[fell] = n
         # Ties at t = inf only touch uncovered probes, whose best_seg is unused.
-        tie = t == best_t[cand_k]
+        tie = t == after
         np.minimum.at(best_seg, cand_k[tie], cand_seg[tie])
-        live = live[stops[live] > k1]
-    return np.where(np.isfinite(best_t), best_seg, -1)
+        dirty = np.zeros(n_tiles, dtype=bool)
+        dirty[fell // _TILE] = True
+        tiles = np.flatnonzero(dirty)
+        tile_max[tiles] = best_t.reshape(n_tiles, _TILE)[tiles].max(axis=1)
+        table = _range_max_table(tile_max)
+    return np.where(np.isfinite(best_t[:m]), best_seg, -1)
 
 
 def visible_set(curve: CurveApprox, x,
@@ -234,9 +365,16 @@ def visible_set(curve: CurveApprox, x,
     ``index``, when given, must have been built from this curve; it only
     saves recomputing the crossings.  An index built from a curve with a
     different segment count raises ValueError.
+
+    The probes' first hits are found front to back: segments are taken in
+    order of a lower bound on their distance from x (``_cull_bound``, their
+    distance less a rounding margin), and one whose bound exceeds the
+    current first hit on all of its probes is skipped (``_first_hits``).
+    A skipped segment can neither win nor tie, and the winner rule does not
+    depend on order, so the output is the same as without culling.
     """
     o = _xy(x)
-    dist = _reject_bad_viewpoint(curve, o)
+    dmin = _reject_bad_viewpoint(curve, o)
     segs = curve.segments
     n = segs.shape[0]
     if index is not None and index.n_segments != n:
@@ -245,10 +383,6 @@ def visible_set(curve: CurveApprox, x,
 
     pa = np.mod(np.arctan2(segs[:, 1] - o[1], segs[:, 0] - o[0]), TWO_PI)
     pb = np.mod(np.arctan2(segs[:, 3] - o[1], segs[:, 2] - o[0]), TWO_PI)
-    width = np.mod(pb - pa, TWO_PI)
-    flip = width > math.pi
-    lo = np.where(flip, pb, pa)
-    w = np.where(flip, TWO_PI - width, width)
 
     if index is not None:
         crossings = index.crossings()
@@ -260,30 +394,16 @@ def visible_set(curve: CurveApprox, x,
                          TWO_PI))
     events = np.unique(np.concatenate(ev))
     m = events.size
-    vp = Viewpoint(float(o[0]), float(o[1]), dist)
+    vp = Viewpoint(float(o[0]), float(o[1]), float(dmin.min()))
     if m < 2:
         # Degenerate: every endpoint in one direction; no 1-d visible piece.
         return VisibleSet(vp, [], 0.0, 0.0)
 
-    e_lo = events
-    e_hi = np.concatenate([events[1:], [events[0] + TWO_PI]])
-    widths = e_hi - e_lo
-    probes = 0.5 * (e_lo + e_hi)  # ascending, in [events[0], events[0] + 2*pi)
+    ext = np.concatenate([events, [events[0] + TWO_PI]])
+    widths = np.diff(ext)
+    probes = 0.5 * (ext[:-1] + ext[1:])  # ascending, in [events[0], events[0] + 2*pi)
 
-    # Map segment spans into the frame starting at events[0] and split the
-    # ones that wrap past the end of the frame.
-    base = events[0]
-    lo_f = base + np.mod(lo - base, TWO_PI)
-    hi_f = lo_f + w
-    seg_ids = np.arange(n, dtype=np.int64)
-    wrap = hi_f > base + TWO_PI
-    q_lo = np.concatenate([lo_f, np.full(np.count_nonzero(wrap), base)])
-    q_hi = np.concatenate([hi_f, hi_f[wrap] - TWO_PI])
-    q_id = np.concatenate([seg_ids, seg_ids[wrap]])
-
-    starts = np.searchsorted(probes, q_lo, side="right")
-    stops = np.maximum(np.searchsorted(probes, q_hi, side="left"), starts)
-
+    starts, stops, q_id = _spans(pa, pb, probes, events[0])
     ang = np.mod(probes, TWO_PI)
     cos_p = np.cos(ang)
     sin_p = np.sin(ang)
@@ -292,9 +412,10 @@ def visible_set(curve: CurveApprox, x,
     ex = segs[:, 2] - segs[:, 0]
     ey = segs[:, 3] - segs[:, 1]
     num = (segs[:, 0] - o[0]) * ey - (segs[:, 1] - o[1]) * ex
+    lb = _cull_bound(segs, o, dmin, ex, ey, num)
     # Each probe's winner: least t, then lowest segment index at that t,
-    # found in probe ranges of at most geom._CHUNK candidates.
-    winner = _first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num)
+    # found front to back with the spans that cannot win culled.
+    winner = _first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num, lb)
     covered = winner >= 0
 
     angular_coverage = float(np.sum(widths[covered]))
@@ -306,14 +427,18 @@ def visible_set(curve: CurveApprox, x,
     kc = np.nonzero(covered)[0]
     sc = winner[kc]
 
-    def line_hit(theta):
-        c = np.cos(np.mod(theta, TWO_PI))
-        s = np.sin(np.mod(theta, TWO_PI))
+    ext = np.mod(ext, TWO_PI)
+    cos_e = np.cos(ext)
+    sin_e = np.sin(ext)
+
+    def line_hit(k):
+        c = cos_e[k]
+        s = sin_e[k]
         t = num[sc] / (c * ey[sc] - s * ex[sc])
         return o[0] + t * c, o[1] + t * s
 
-    px_lo, py_lo = line_hit(e_lo[kc])
-    px_hi, py_hi = line_hit(e_hi[kc])
+    px_lo, py_lo = line_hit(kc)
+    px_hi, py_hi = line_hit(kc + 1)
 
     # Merge circular runs of consecutive covered intervals with one winner.
     # Outside a break, position p continues the run of p - 1; positions

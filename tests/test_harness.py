@@ -2,13 +2,14 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fracvis import cli
+from fracvis import cli, harness
 from fracvis.fractals import CurveSpec, curve_to_json, generate
 from fracvis.geom import point_segments_dist
 from fracvis.harness import (
@@ -233,6 +234,23 @@ def test_run_sweep_worker_count_is_invisible(tmp_path):
         tmp_path / "w4/report.json"
     ).read_bytes()
     assert r1.fraction_within == r4.fraction_within
+
+
+def test_row_takes_its_distance_from_visible_set(koch5, tmp_path):
+    config = tiny_config(tmp_path)
+    segs = koch5.segments
+    off = np.array([0.5, -0.4])
+    on = segs[3, :2].copy()
+    with mock.patch.object(harness, "point_segments_dist",
+                           wraps=point_segments_dist) as spy:
+        row = harness._row_for_viewpoint(koch5, None, off, 0, config)
+        spy.assert_not_called()
+        refused = harness._row_for_viewpoint(koch5, None, on, 1, config)
+        spy.assert_called_once()
+    assert row.error_flag == ""
+    assert row.dist_to_set == float(point_segments_dist(off, segs).min())
+    assert refused.error_flag == "viewpoint lies on the curve"
+    assert refused.dist_to_set == float(point_segments_dist(on, segs).min())
 
 
 def test_results_csv_round_trip(sweep_out):

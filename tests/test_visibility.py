@@ -16,8 +16,11 @@ from fracvis.fractals import (
     cantor_cross,
     circle,
     from_segments,
+    koch_generalized,
     polyline,
+    quasicircle,
 )
+from fracvis.harness import ViewpointPlan, plan_viewpoints
 from fracvis.geom import EPS_GEOM, arc_diam, point_segments_dist
 from fracvis.visibility import (
     SegmentIndex,
@@ -252,12 +255,15 @@ def test_visible_set_json_keys(square):
 
 
 # ---------------------------------------------------------------------------
-# winner rule and chunking
+# winner rule, culling and chunking
 # ---------------------------------------------------------------------------
 
 
-def _lexsort_first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num):
-    """The sort-based winner rule: every candidate at once, then a lexsort."""
+def _lexsort_first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num, lb):
+    """The sort-based winner rule: every candidate at once, then a lexsort.
+
+    It ignores the culling bound lb, so it is the unculled reference.
+    """
     cand_k = np.array([k for a, b in zip(starts, stops) for k in range(a, b)],
                       dtype=np.int64)
     cand_seg = np.repeat(q_id, stops - starts)
@@ -294,17 +300,57 @@ def _grid_curves(draw):
 
 
 @given(curve=_grid_curves(),
-       x=st.tuples(st.integers(-4, 12), st.integers(-4, 12)))
-def test_min_reduction_matches_lexsort_winners(curve, x):
+       x=st.tuples(st.integers(-4, 12), st.integers(-4, 12)),
+       chunk=st.sampled_from([1, 4]))
+def test_min_reduction_matches_lexsort_winners(curve, x, chunk):
+    # A small _CHUNK splits even these curves into batches, so spans are
+    # culled between them.
     x = (x[0] / 2.0, x[1] / 2.0)
     try:
-        got = visible_set(curve, x)
+        with mock.patch.object(geom, "_CHUNK", chunk):
+            got = visible_set(curve, x)
     except ValueError:
         assume(False)
     with mock.patch.object(visibility, "_first_hits", _lexsort_first_hits):
         want = visible_set(curve, x)
     assert got.pieces == want.pieces
     assert got.angular_coverage == want.angular_coverage
+
+
+def test_culling_skips_most_candidates_at_level8():
+    # Koch d=1.5 L8 from the four 2x2 grid viewpoints: with the cull,
+    # 16-23% of the (probe, segment) candidates get their t evaluated;
+    # without it, all of them do.
+    curve = koch_generalized(1.5, 8)
+    index = SegmentIndex(curve)
+    seen = {"evaluated": 0, "spanned": 0}
+    ragged = visibility._ragged_ranges
+    first_hits = visibility._first_hits
+
+    def counting_ranges(lo, hi):
+        out = ragged(lo, hi)
+        seen["evaluated"] += out.size
+        return out
+
+    def counting_first_hits(starts, stops, *rest):
+        seen["spanned"] += int((stops - starts).sum())
+        return first_hits(starts, stops, *rest)
+
+    for x in plan_viewpoints(curve, ViewpointPlan(mode="grid", count=4), 0):
+        seen.update(evaluated=0, spanned=0)
+        with mock.patch.object(visibility, "_ragged_ranges", counting_ranges), \
+                mock.patch.object(visibility, "_first_hits", counting_first_hits):
+            visible_set(curve, x, index)
+        assert seen["spanned"] > 3_000_000
+        assert seen["evaluated"] <= 0.25 * seen["spanned"], tuple(x)
+
+
+def test_range_max_matches_brute_force():
+    values = np.random.default_rng(3).normal(size=37)
+    table = visibility._range_max_table(values)
+    lo, hi = np.triu_indices(values.size)
+    want = [values[a:b + 1].max() for a, b in zip(lo, hi)]
+    assert visibility._range_max(table, lo, hi).tolist() == want
 
 
 def _crossing_soup():
@@ -329,6 +375,30 @@ def test_chunked_expansion_matches_unchunked(koch5, chunk):
             got = visible_set(c, x)
             assert got.pieces == want.pieces
             assert got.angular_coverage == want.angular_coverage
+
+
+_CULL_VIEWS = [
+    # (curve, viewpoints near, inside and far from it)
+    (lambda: koch_generalized(math.log(4) / math.log(3), 5),
+     [(0.1, -0.01), (0.5, 0.1), (1e6, 1e6)]),
+    (lambda: koch_generalized(1.5, 5), [(0.1, -0.01), (0.5, 0.1), (1e6, 1e6)]),
+    (lambda: quasicircle(3, level=8), [(1.01, 0.0), (0.0, 0.0), (-1e6, 1e6)]),
+    (_crossing_soup, [(-0.05, 0.3), (0.5, 0.5), (1e6, -1e6)]),
+]
+
+
+@pytest.mark.parametrize("make, views", _CULL_VIEWS,
+                         ids=["koch-classic-L5", "koch-1.5-L5", "quasicircle-L8",
+                              "soup-60"])
+def test_culled_sweep_matches_unculled_reference(make, views):
+    curve = make()
+    index = SegmentIndex(curve)
+    with mock.patch.object(visibility, "_first_hits", _lexsort_first_hits):
+        want = [visible_set_to_json(visible_set(curve, x, index)) for x in views]
+    for chunk in (1, 64, 4096):
+        with mock.patch.object(geom, "_CHUNK", chunk):
+            got = [visible_set_to_json(visible_set(curve, x, index)) for x in views]
+        assert got == want, chunk
 
 
 def test_blocks_cover_in_order_within_budget():
