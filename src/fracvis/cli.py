@@ -204,7 +204,12 @@ def _cmd_render(args) -> int:
     rows = harness.read_results_csv(args.results)
     report = harness.BoundReport.read(args.report)
     out = Path(args.out) if args.out is not None else Path(".")
-    paths = harness.render_svg(curve, rows, report, out)
+    # The sweep draws its first error-free row's visible set; a CSV keeps
+    # only that row's viewpoint, so the set is computed again.
+    shown = next((r for r in rows if not r.error_flag), None)
+    scene = (None if shown is None
+             else visibility.visible_set(curve, (shown.vp_x, shown.vp_y)))
+    paths = harness.render_svg(curve, rows, report, out, scene=scene)
     _emit(args, "wrote " + " ".join(str(p) for p in paths))
     return 0
 

@@ -32,7 +32,7 @@ from . import svg as svgmod
 from .fractals import CurveApprox, CurveSpec, generate
 from .geom import EPS_GEOM, TWO_PI, point_segments_dist
 from .measurelab import DimEstimate, box_dimension, default_scale_window
-from .visibility import SegmentIndex, sample_visible, visible_set
+from .visibility import SegmentIndex, VisibleSet, sample_visible, visible_set
 
 BOUND_TOL_DEFAULT = 0.1
 
@@ -346,7 +346,9 @@ def _estimator_window(curve: CurveApprox,
 
 def _row_for_viewpoint(curve: CurveApprox, index: SegmentIndex | None,
                        vp: np.ndarray, vp_index: int,
-                       config: ExperimentConfig) -> SweepRow:
+                       config: ExperimentConfig
+                       ) -> tuple[SweepRow, VisibleSet | None]:
+    """The viewpoint's row and its visible set (None if refused)."""
     vx, vy = float(vp[0]), float(vp[1])
     try:
         vs = visible_set(curve, vp, index)
@@ -354,14 +356,14 @@ def _row_for_viewpoint(curve: CurveApprox, index: SegmentIndex | None,
         # visible_set measures the distance itself; only a refusal needs it here.
         dist = float(point_segments_dist(vp, curve.segments).min())
         return SweepRow(vp_index=vp_index, vp_x=vx, vp_y=vy, dist_to_set=dist,
-                        error_flag=str(exc).replace(",", ";"))
+                        error_flag=str(exc).replace(",", ";")), None
     row = SweepRow(vp_index=vp_index, vp_x=vx, vp_y=vy,
                    dist_to_set=vs.viewpoint.dist_to_set, n_pieces=len(vs.pieces),
                    visible_length=vs.total_length,
                    angular_coverage=vs.angular_coverage)
     if not vs.pieces:
         row.error_flag = "empty_visible_set"
-        return row
+        return row, vs
     try:
         window = _estimator_window(curve, config.estimator)
         # Samples must resolve the finest counting scale or boxes on the
@@ -377,7 +379,7 @@ def _row_for_viewpoint(curve: CurveApprox, index: SegmentIndex | None,
         row.estimate = est
     except ValueError as exc:
         row.error_flag = str(exc).replace(",", ";")
-    return row
+    return row, vs
 
 
 # ---------------------------------------------------------------------------
@@ -656,14 +658,19 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
                           n_scales=config.estimator.n_scales)
     vps = plan_viewpoints(curve, config.viewpoints, config.seed)
 
-    def job(i: int) -> SweepRow:
+    def job(i: int) -> tuple[SweepRow, VisibleSet | None]:
         return _row_for_viewpoint(curve, index, vps[i], i, config)
 
-    if workers <= 1:
-        rows = [job(i) for i in range(config.viewpoints.count)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(job, range(config.viewpoints.count)))
+    # Rows arrive in index order; only the first error-free row's visible
+    # set is kept, for scene.svg.
+    rows: list[SweepRow] = []
+    scene = None
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+        for row, vs in pool.map(job, range(config.viewpoints.count)):
+            rows.append(row)
+            if scene is None and not row.error_flag:
+                scene = vs
+            del vs  # else it stays alive through the next row's sweep
 
     report = aggregate_report(
         rows,
@@ -678,7 +685,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     write_results_csv(out / "results.csv", config, rows, report.f_bound)
     report.write(out / "report.json")
     if render:
-        render_svg(curve, rows, report, out, index=index)
+        render_svg(curve, rows, report, out, scene=scene)
     return report
 
 
@@ -703,9 +710,12 @@ def verify_bound(csv_path, d_hat: DimEstimate | float,
 
 
 def render_svg(curve: CurveApprox, rows: list[SweepRow], report: BoundReport,
-               out_dir, index: SegmentIndex | None = None) -> list[Path]:
+               out_dir, scene: VisibleSet | None) -> list[Path]:
     """Write scene.svg (curve + one viewpoint + its visible pieces) and
     dim_scatter.svg (dim_visible against distance, with both bound lines).
+
+    ``scene`` is the visible set of the first row without an error flag;
+    None, when every row has one, writes no scene.svg.
     """
     if not rows:
         raise ValueError("nothing to render")
@@ -713,12 +723,9 @@ def render_svg(curve: CurveApprox, rows: list[SweepRow], report: BoundReport,
     out.mkdir(parents=True, exist_ok=True)
     paths = []
 
-    shown = next((r for r in rows if not r.error_flag), None)
-    if shown is not None:
-        vs = visible_set(curve, (shown.vp_x, shown.vp_y), index)
-        scene = svgmod.render_scene(curve, vs)
+    if scene is not None:
         scene_path = out / "scene.svg"
-        scene_path.write_text(scene, encoding="utf-8")
+        scene_path.write_text(svgmod.render_scene(curve, scene), encoding="utf-8")
         paths.append(scene_path)
 
     good = [r for r in rows if math.isfinite(r.dim_visible)]

@@ -8,6 +8,8 @@ and at the theoretical ceiling.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .fractals import CurveApprox
 from .visibility import VisibleSet
 
@@ -15,6 +17,8 @@ _SCENE_SIZE = 800
 _PLOT_W = 800
 _PLOT_H = 560
 _MARGIN = 56
+# Path rows per %-format call; bounds the Python floats alive at once.
+_PATH_ROWS = 4096
 
 
 def _num(v: float) -> str:
@@ -42,11 +46,25 @@ class _Frame:
         self.ox = 0.5 * (width - (x1 - x0) * self.scale)
         self.oy = 0.5 * (height + (y1 - y0) * self.scale)
 
-    def to(self, x: float, y: float) -> tuple[float, float]:
+    def to(self, x, y):
+        """Canvas (x, y) of world (x, y); scalars or arrays alike."""
         return (
             self.ox + (x - self.x0) * self.scale,
             self.oy - (y - self.y0) * self.scale,
         )
+
+
+def _path_d(frame: _Frame, segs: np.ndarray) -> str:
+    """Path data "Mxa yaLxb yb..." for the rows (xa, ya, xb, yb) of segs."""
+    ax, ay = frame.to(segs[:, 0], segs[:, 1])
+    bx, by = frame.to(segs[:, 2], segs[:, 3])
+    canvas = np.column_stack([ax, ay, bx, by])
+    # One %-format per block of rows; "%.4f" matches _num's format().
+    return "".join(
+        ("M%.4f %.4fL%.4f %.4f" * len(block)) % tuple(block.ravel().tolist())
+        for block in (canvas[i:i + _PATH_ROWS]
+                      for i in range(0, len(canvas), _PATH_ROWS))
+    )
 
 
 def render_scene(curve: CurveApprox, vs: VisibleSet,
@@ -59,27 +77,19 @@ def render_scene(curve: CurveApprox, vs: VisibleSet,
           vs.viewpoint.y]
     frame = _Frame(min(xs), min(ys), max(xs), max(ys), size, size, margin)
 
-    parts = [_header(size, size)]
-    d = []
-    for row in segs:
-        ax, ay = frame.to(row[0], row[1])
-        bx, by = frame.to(row[2], row[3])
-        d.append(f"M{_num(ax)} {_num(ay)}L{_num(bx)} {_num(by)}")
-    parts.append(
-        f'<path d="{"".join(d)}" stroke="#999999" stroke-width="1" fill="none"/>\n'
-    )
+    parts = [
+        _header(size, size),
+        f'<path d="{_path_d(frame, segs)}" stroke="#999999" stroke-width="1" '
+        'fill="none"/>\n',
+    ]
     if vs.pieces:
-        d = []
-        for p in vs.pieces:
-            ax, ay = frame.to(*p.start)
-            bx, by = frame.to(*p.end)
-            d.append(f"M{_num(ax)} {_num(ay)}L{_num(bx)} {_num(by)}")
+        pieces = np.array([p.start + p.end for p in vs.pieces])
         parts.append(
-            f'<path d="{"".join(d)}" stroke="#cc2222" stroke-width="2.5" '
-            'fill="none"/>\n'
+            f'<path d="{_path_d(frame, pieces)}" stroke="#cc2222" '
+            'stroke-width="2.5" fill="none"/>\n'
         )
-    vx, vy = frame.to(vs.viewpoint.x, vs.viewpoint.y)
-    parts.append(f'<circle cx="{_num(vx)}" cy="{_num(vy)}" r="5" fill="#2244cc"/>\n')
+    parts.append('<circle cx="%.4f" cy="%.4f" r="5" fill="#2244cc"/>\n'
+                 % frame.to(vs.viewpoint.x, vs.viewpoint.y))
     parts.append(
         f'<text x="10" y="20" font-family="monospace" font-size="13">'
         f'visible pieces: {len(vs.pieces)}  length: {format(vs.total_length, ".6g")}'

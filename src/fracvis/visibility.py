@@ -92,9 +92,13 @@ _TILE = 64
 _CULL_C = 128
 
 
-def _reject_bad_viewpoint(curve: CurveApprox, o: np.ndarray) -> np.ndarray:
-    """Distance from o to each segment; raises unless o is off a segment set."""
-    if curve.is_point_cloud or np.any(curve.lengths() <= 0.0):
+def _reject_bad_viewpoint(curve: CurveApprox, o: np.ndarray,
+                          lengths: np.ndarray) -> np.ndarray:
+    """Distance from o to each segment; raises unless o is off a segment set.
+
+    ``lengths`` is ``curve.lengths()``, which a caller may have at hand.
+    """
+    if curve.is_point_cloud or np.any(lengths <= 0.0):
         raise ValueError("visibility requires a segment set")
     d = point_segments_dist(o, curve.segments)
     if float(d.min()) <= EPS_GEOM:
@@ -213,7 +217,7 @@ def _spans(pa, pb, probes, base):
     return starts, stops, q_id
 
 
-def _cull_bound(segs, o, dmin, ex, ey, num) -> np.ndarray:
+def _cull_bound(segs, o, dmin, lengths, num) -> np.ndarray:
     """lb[s] <= every hit distance t that the sweep computes for segment s.
 
     Exactly, a ray inside the angular span of s meets s at distance at
@@ -246,7 +250,7 @@ def _cull_bound(segs, o, dmin, ex, ey, num) -> np.ndarray:
     # kappa = far * |e| / |num|, as |num| / |e| is the distance to the line.
     kappa = np.maximum(np.hypot(segs[:, 0] - o[0], segs[:, 1] - o[1]),
                        np.hypot(segs[:, 2] - o[0], segs[:, 3] - o[1]))
-    kappa *= np.hypot(ex, ey)
+    kappa *= lengths
     with np.errstate(divide="ignore"):
         kappa /= np.abs(num)
     c_eps = _CULL_C * np.finfo(float).eps
@@ -374,8 +378,13 @@ def visible_set(curve: CurveApprox, x,
     depend on order, so the output is the same as without culling.
     """
     o = _xy(x)
-    dmin = _reject_bad_viewpoint(curve, o)
     segs = curve.segments
+    # Per segment e = b - a and num = (a - o) x e, so a ray at angle theta
+    # meets the segment's line at t = num / (cos(theta) ey - sin(theta) ex).
+    ex = segs[:, 2] - segs[:, 0]
+    ey = segs[:, 3] - segs[:, 1]
+    lengths = np.hypot(ex, ey)
+    dmin = _reject_bad_viewpoint(curve, o, lengths)
     n = segs.shape[0]
     if index is not None and index.n_segments != n:
         raise ValueError(f"segment index built from a curve of {index.n_segments} "
@@ -407,12 +416,8 @@ def visible_set(curve: CurveApprox, x,
     ang = np.mod(probes, TWO_PI)
     cos_p = np.cos(ang)
     sin_p = np.sin(ang)
-    # Per segment e = b - a and num = (a - o) x e, so a ray at angle theta
-    # meets the segment's line at t = num / (cos(theta) ey - sin(theta) ex).
-    ex = segs[:, 2] - segs[:, 0]
-    ey = segs[:, 3] - segs[:, 1]
     num = (segs[:, 0] - o[0]) * ey - (segs[:, 1] - o[1]) * ex
-    lb = _cull_bound(segs, o, dmin, ex, ey, num)
+    lb = _cull_bound(segs, o, dmin, lengths, num)
     # Each probe's winner: least t, then lowest segment index at that t,
     # found front to back with the spans that cannot win culled.
     winner = _first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num, lb)
@@ -480,7 +485,7 @@ def visible_oracle(curve: CurveApprox, x, u, eps: float | None = None) -> bool:
     uu = _xy(u)
     if eps is None:
         eps = curve.min_seg_len / 100.0
-    _reject_bad_viewpoint(curve, o)
+    _reject_bad_viewpoint(curve, o, curve.lengths())
     if float(point_segments_dist(uu, curve.segments).min()) > eps:
         raise ValueError("u is not on the curve (within eps)")
     length = float(np.hypot(*(uu - o)))

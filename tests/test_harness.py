@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fracvis import cli, harness
 from fracvis.fractals import CurveSpec, curve_to_json, generate
 from fracvis.geom import point_segments_dist
+from fracvis.visibility import visible_set
 from fracvis.harness import (
     EstimatorPlan,
     ExperimentConfig,
@@ -243,14 +244,28 @@ def test_row_takes_its_distance_from_visible_set(koch5, tmp_path):
     on = segs[3, :2].copy()
     with mock.patch.object(harness, "point_segments_dist",
                            wraps=point_segments_dist) as spy:
-        row = harness._row_for_viewpoint(koch5, None, off, 0, config)
+        row, vs = harness._row_for_viewpoint(koch5, None, off, 0, config)
         spy.assert_not_called()
-        refused = harness._row_for_viewpoint(koch5, None, on, 1, config)
+        refused, refused_vs = harness._row_for_viewpoint(koch5, None, on, 1,
+                                                         config)
         spy.assert_called_once()
     assert row.error_flag == ""
+    assert row.dist_to_set == vs.viewpoint.dist_to_set
+    assert refused_vs is None
     assert row.dist_to_set == float(point_segments_dist(off, segs).min())
     assert refused.error_flag == "viewpoint lies on the curve"
     assert refused.dist_to_set == float(point_segments_dist(on, segs).min())
+
+
+def test_sweep_computes_one_visible_set_per_viewpoint(tmp_path):
+    """scene.svg draws the set the sweep computed for its row, not a new one."""
+    config = tiny_config(tmp_path)
+    for workers in (1, 2):
+        with mock.patch.object(harness, "visible_set",
+                               wraps=visible_set) as spy:
+            run_sweep(config, workers=workers, render=True)
+        assert spy.call_count == config.viewpoints.count
+        assert (tmp_path / "scene.svg").exists()
 
 
 def test_results_csv_round_trip(sweep_out):
@@ -385,3 +400,17 @@ def test_cli_sweep_and_verify(tmp_path, capsys):
         ["--quiet", "verify-bound", "--results", str(results), "--d-hat", "1.5"]
     )
     assert rc == 0
+
+
+def test_cli_render_reproduces_the_sweep_svgs(sweep_out, tmp_path):
+    out, _ = sweep_out
+    curve_path = tmp_path / "curve.json"
+    curve_path.write_text(curve_to_json(generate(tiny_config(out).curve)))
+    rc = cli.main(["--out", str(tmp_path / "render"), "--quiet", "render",
+                   "--results", str(out / "results.csv"),
+                   "--report", str(out / "report.json"),
+                   "--curve", str(curve_path)])
+    assert rc == 0
+    for name in ("scene.svg", "dim_scatter.svg"):
+        assert (tmp_path / "render" / name).read_bytes() == (
+            out / name).read_bytes(), name

@@ -88,6 +88,20 @@ def test_visible_pieces_lie_on_parent_segments(koch5):
         assert float(point_segments_dist(np.asarray(p.end), parent).min()) < 1e-9
 
 
+def test_total_length_sums_math_hypot_lengths_in_piece_order(koch5):
+    """total_length is np.sum, in piece order, of math.hypot piece lengths.
+
+    np.hypot and math.hypot can differ in the last bit: they did for 3,865
+    of 2M random pairs on an x86-64 host with numpy 2.4, and for 3 of the
+    346 pieces seen here.  So a visible set kept as columns must keep
+    math.hypot's rounding, or say that the sweep's digests change.
+    """
+    vs = visible_set(koch5, (0.5, 1.2))
+    lengths = [math.hypot(p.end[0] - p.start[0], p.end[1] - p.start[1])
+               for p in vs.pieces]
+    assert vs.total_length.hex() == float(np.sum(lengths)).hex()
+
+
 def test_visible_set_monotone_under_occlusion():
     # adding a blocking wall in front can only shrink what is seen
     base = circle((0.0, 0.0), 1.0, 512)
