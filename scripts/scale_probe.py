@@ -61,7 +61,7 @@ def _probe(level: int) -> None:
     vp = plan_viewpoints(curve, ViewpointPlan(mode="ring", count=1), SEED)[0]
     t0 = time.perf_counter()
     vs = visible_set(curve, vp, index)
-    report("visible_set", t0, f"{len(vs.pieces)} pieces from "
+    report("visible_set", t0, f"{len(vs.segments)} pieces from "
                               f"({vp[0]:.4f}, {vp[1]:.4f})")
     times = []
     for vp in plan_viewpoints(curve, ViewpointPlan(mode="grid", count=4), SEED):

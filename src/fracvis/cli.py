@@ -137,7 +137,7 @@ def _cmd_visible(args) -> int:
     curve = fractals.read_curve(args.curve)
     vs = visibility.visible_set(curve, (args.x, args.y))
     _write_or_print(args, visibility.visible_set_to_json(vs), "visible.json")
-    _emit(args, f"pieces: {len(vs.pieces)}  total_length: {vs.total_length!r}")
+    _emit(args, f"pieces: {len(vs.segments)}  total_length: {vs.total_length!r}")
     return 0
 
 

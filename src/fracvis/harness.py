@@ -358,10 +358,10 @@ def _row_for_viewpoint(curve: CurveApprox, index: SegmentIndex | None,
         return SweepRow(vp_index=vp_index, vp_x=vx, vp_y=vy, dist_to_set=dist,
                         error_flag=str(exc).replace(",", ";")), None
     row = SweepRow(vp_index=vp_index, vp_x=vx, vp_y=vy,
-                   dist_to_set=vs.viewpoint.dist_to_set, n_pieces=len(vs.pieces),
+                   dist_to_set=vs.viewpoint.dist_to_set, n_pieces=len(vs.segments),
                    visible_length=vs.total_length,
                    angular_coverage=vs.angular_coverage)
-    if not vs.pieces:
+    if not len(vs.segments):
         row.error_flag = "empty_visible_set"
         return row, vs
     try:

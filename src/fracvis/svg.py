@@ -82,17 +82,16 @@ def render_scene(curve: CurveApprox, vs: VisibleSet,
         f'<path d="{_path_d(frame, segs)}" stroke="#999999" stroke-width="1" '
         'fill="none"/>\n',
     ]
-    if vs.pieces:
-        pieces = np.array([p.start + p.end for p in vs.pieces])
+    if len(vs.segments):
         parts.append(
-            f'<path d="{_path_d(frame, pieces)}" stroke="#cc2222" '
+            f'<path d="{_path_d(frame, vs.segments)}" stroke="#cc2222" '
             'stroke-width="2.5" fill="none"/>\n'
         )
     parts.append('<circle cx="%.4f" cy="%.4f" r="5" fill="#2244cc"/>\n'
                  % frame.to(vs.viewpoint.x, vs.viewpoint.y))
     parts.append(
         f'<text x="10" y="20" font-family="monospace" font-size="13">'
-        f'visible pieces: {len(vs.pieces)}  length: {format(vs.total_length, ".6g")}'
+        f'visible pieces: {len(vs.segments)}  length: {format(vs.total_length, ".6g")}'
         "</text>\n"
     )
     parts.append("</svg>\n")

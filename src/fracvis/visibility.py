@@ -80,10 +80,33 @@ class VisiblePiece:
 
 @dataclass
 class VisibleSet:
+    """The visible pieces as columns, ordered by parent, then start, then end.
+
+    Row i of ``segments`` is piece i's ``(x0, y0, x1, y1)``, lying on curve
+    segment ``parents[i]``; ``lengths[i]`` is its ``math.hypot`` length and
+    ``total_length`` their ``np.sum``.
+    """
+
     viewpoint: Viewpoint
-    pieces: list[VisiblePiece]
+    segments: np.ndarray
+    parents: np.ndarray
+    lengths: np.ndarray
     total_length: float
     angular_coverage: float
+
+    @classmethod
+    def empty(cls, viewpoint: Viewpoint, angular_coverage: float = 0.0) -> VisibleSet:
+        return cls(viewpoint, np.empty((0, 4)), np.empty(0, dtype=np.int64),
+                   np.empty(0), 0.0, angular_coverage)
+
+    @property
+    def pieces(self) -> list[VisiblePiece]:
+        """The rows as VisiblePiece objects, built on each read.
+
+        No fracvis code reads this view; ``perfbench/worker.py`` does.
+        """
+        return [VisiblePiece(p, (x0, y0), (x1, y1)) for p, (x0, y0, x1, y1)
+                in zip(self.parents.tolist(), self.segments.tolist())]
 
 
 # Probes per tile of the sweep's best_t maxima.
@@ -363,7 +386,8 @@ def visible_set(curve: CurveApprox, x,
     """Exact visible part of the curve from x.
 
     Output pieces are maximal sub-segments, angularly disjoint from x, each
-    lying on its parent segment; they are listed by parent segment index.
+    lying on its parent segment; they are the rows of ``VisibleSet.segments``,
+    listed by parent segment index, then start point, then end point.
     ``angular_coverage`` is the measure of directions whose ray meets the
     curve.  x must be strictly off the curve; point clouds are rejected.
     ``index``, when given, must have been built from this curve; it only
@@ -406,7 +430,7 @@ def visible_set(curve: CurveApprox, x,
     vp = Viewpoint(float(o[0]), float(o[1]), float(dmin.min()))
     if m < 2:
         # Degenerate: every endpoint in one direction; no 1-d visible piece.
-        return VisibleSet(vp, [], 0.0, 0.0)
+        return VisibleSet.empty(vp)
 
     ext = np.concatenate([events, [events[0] + TWO_PI]])
     widths = np.diff(ext)
@@ -426,24 +450,10 @@ def visible_set(curve: CurveApprox, x,
     angular_coverage = float(np.sum(widths[covered]))
 
     if not np.any(covered):
-        return VisibleSet(vp, [], 0.0, angular_coverage)
+        return VisibleSet.empty(vp, angular_coverage)
 
-    # Boundary hit points of each covered interval on its winning segment.
     kc = np.nonzero(covered)[0]
     sc = winner[kc]
-
-    ext = np.mod(ext, TWO_PI)
-    cos_e = np.cos(ext)
-    sin_e = np.sin(ext)
-
-    def line_hit(k):
-        c = cos_e[k]
-        s = sin_e[k]
-        t = num[sc] / (c * ey[sc] - s * ex[sc])
-        return o[0] + t * c, o[1] + t * s
-
-    px_lo, py_lo = line_hit(kc)
-    px_hi, py_hi = line_hit(kc + 1)
 
     # Merge circular runs of consecutive covered intervals with one winner.
     # Outside a break, position p continues the run of p - 1; positions
@@ -458,15 +468,30 @@ def visible_set(curve: CurveApprox, x,
     if not breaks[0]:
         run_ends[-1] = run_starts[0] - 1
 
-    pieces = [
-        VisiblePiece(int(sc[r0]), (float(px_lo[r0]), float(py_lo[r0])),
-                     (float(px_hi[r1]), float(py_hi[r1])))
-        for r0, r1 in zip(run_starts, run_ends)
-    ]
-    pieces = [p for p in pieces if p.length > EPS_GEOM]
-    pieces.sort(key=lambda p: (p.segment_index, p.start, p.end))
-    total_length = float(np.sum([p.length for p in pieces])) if pieces else 0.0
-    return VisibleSet(vp, pieces, total_length, angular_coverage)
+    # A run's piece is cut from its winner by the rays at its two ends.
+    parent = sc[run_starts]
+
+    def line_hit(k):
+        ang = np.mod(ext[k], TWO_PI)
+        c = np.cos(ang)
+        s = np.sin(ang)
+        t = num[parent] / (c * ey[parent] - s * ex[parent])
+        return o[0] + t * c, o[1] + t * s
+
+    x0, y0 = line_hit(kc[run_starts])
+    x1, y1 = line_hit(kc[run_ends] + 1)
+    # math.hypot, not np.hypot, which can differ in the last bit and so
+    # change total_length.
+    piece_len = np.fromiter(map(math.hypot, (x1 - x0).tolist(), (y1 - y0).tolist()),
+                            float, parent.size)
+    keep = piece_len > EPS_GEOM
+    parent, x0, y0, x1, y1, piece_len = (
+        a[keep] for a in (parent, x0, y0, x1, y1, piece_len))
+    # Stable, and -0.0 ties 0.0, as in a sort of (parent, start, end) tuples.
+    order = np.lexsort((y1, x1, y0, x0, parent))
+    piece_len = piece_len[order]
+    return VisibleSet(vp, np.column_stack([x0, y0, x1, y1])[order], parent[order],
+                      piece_len, float(np.sum(piece_len)), angular_coverage)
 
 
 # ---------------------------------------------------------------------------
@@ -513,14 +538,10 @@ def sample_visible(vs: VisibleSet, n: int):
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    if not vs.pieces:
+    if not len(vs.segments):
         raise ValueError("empty visible set has nothing to sample")
-    pts = points_at_arclength(
-        np.array([p.start for p in vs.pieces]),
-        np.array([p.end for p in vs.pieces]),
-        np.array([p.length for p in vs.pieces]),
-        (np.arange(n) + 0.5) / n,
-    )
+    pts = points_at_arclength(vs.segments[:, 0:2], vs.segments[:, 2:4], vs.lengths,
+                              (np.arange(n) + 0.5) / n)
     return pts, DiscreteMeasure(pts, np.full(n, 1.0 / n))
 
 
@@ -531,9 +552,8 @@ def sample_visible(vs: VisibleSet, n: int):
 
 def visible_set_to_json(vs: VisibleSet) -> str:
     rows = ",".join(
-        f"[{p.segment_index},{_fnum(p.start[0])},{_fnum(p.start[1])},"
-        f"{_fnum(p.end[0])},{_fnum(p.end[1])}]"
-        for p in vs.pieces
+        f"[{p},{_fnum(x0)},{_fnum(y0)},{_fnum(x1)},{_fnum(y1)}]"
+        for p, (x0, y0, x1, y1) in zip(vs.parents.tolist(), vs.segments.tolist())
     )
     return (
         "{"

@@ -95,9 +95,7 @@ def test_criterion_3_oracle_equivalence():
                     bad_samples += 1
             rng = np.random.default_rng([99, fi])
             probes = sample_arclength(curve, rng.random(200))
-            pieces = np.array(
-                [[*p.start, *p.end] for p in vs.pieces]
-            ).reshape(-1, 4)
+            pieces = vs.segments
             for u in probes:
                 vis = visible_oracle(curve, tuple(x), tuple(u), eps=eps)
                 on_pieces = (

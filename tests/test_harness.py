@@ -9,10 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fracvis import cli, harness
+from fracvis import cli, harness, svg
 from fracvis.fractals import CurveSpec, curve_to_json, generate
 from fracvis.geom import point_segments_dist
-from fracvis.visibility import visible_set
+from fracvis.visibility import (
+    VisibleSet,
+    sample_visible,
+    visible_set,
+    visible_set_to_json,
+)
 from fracvis.harness import (
     EstimatorPlan,
     ExperimentConfig,
@@ -266,6 +271,41 @@ def test_sweep_computes_one_visible_set_per_viewpoint(tmp_path):
             run_sweep(config, workers=workers, render=True)
         assert spy.call_count == config.viewpoints.count
         assert (tmp_path / "scene.svg").exists()
+
+
+def test_sweep_and_cli_never_build_piece_objects(sweep_out, koch5, tmp_path,
+                                                 capsys):
+    """Every consumer reads the columns; none reads VisibleSet.pieces."""
+    out, _ = sweep_out
+    curve_path = tmp_path / "curve.json"
+    curve_path.write_text(curve_to_json(koch5))
+    x = (0.5, -0.7)
+
+    def consumers():
+        vs = visible_set(koch5, x)
+        return (visible_set_to_json(vs), sample_visible(vs, 97)[0].tobytes(),
+                svg.render_scene(koch5, vs))
+
+    def refuse(self):
+        raise AssertionError("VisibleSet.pieces was read")
+
+    want = consumers()
+    with mock.patch.object(VisibleSet, "pieces", property(refuse)):
+        for workers in (1, 2):
+            run = tmp_path / f"w{workers}"
+            run_sweep(tiny_config(run), workers=workers, render=True)
+            for name in ("results.csv", "report.json", "scene.svg",
+                         "dim_scatter.svg"):
+                assert (run / name).read_bytes() == (out / name).read_bytes()
+        rc = cli.main(["--out", str(tmp_path / "visible.json"), "visible",
+                       "--curve", str(curve_path), "--x", str(x[0]),
+                       "--y", str(x[1])])
+        got = consumers()
+    assert rc == 0
+    assert got == want
+    assert (tmp_path / "visible.json").read_text() == want[0] + "\n"
+    n = len(visible_set(koch5, x).segments)
+    assert f"pieces: {n}  total_length" in capsys.readouterr().out
 
 
 def test_results_csv_round_trip(sweep_out):

@@ -63,7 +63,7 @@ def test_identity_frame_prints_negative_zero():
 
 def test_scene_of_an_empty_visible_set_has_no_red_path():
     curve = koch_generalized(1.5, 3)
-    vs = VisibleSet(Viewpoint(0.5, -1.0, 1.0), [], 0.0, 0.0)
+    vs = VisibleSet.empty(Viewpoint(0.5, -1.0, 1.0))
     scene = svg.render_scene(curve, vs)
     assert scene.count("<path ") == 1
     assert 'stroke="#999999"' in scene

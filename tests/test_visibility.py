@@ -1,5 +1,6 @@
 """Visible-set extraction, the brute-force oracle, and the crossing cache."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -8,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from fracvis import geom, visibility
@@ -32,8 +33,9 @@ from fracvis.visibility import (
 )
 
 
-def pieces_array(vs) -> np.ndarray:
-    return np.array([[*p.start, *p.end] for p in vs.pieces]).reshape(-1, 4)
+def assert_same_pieces(got, want):
+    assert got.segments.tobytes() == want.segments.tobytes()
+    assert got.parents.tolist() == want.parents.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +46,7 @@ def pieces_array(vs) -> np.ndarray:
 def test_visible_set_single_segment_fully_visible(unit_segment):
     vs = visible_set(unit_segment, (0.5, 1.0))
     assert vs.total_length == pytest.approx(1.0, abs=1e-9)
-    assert len(vs.pieces) >= 1
+    assert len(vs.segments) >= 1
     assert (vs.viewpoint.x, vs.viewpoint.y) == (0.5, 1.0)
     assert vs.viewpoint.dist_to_set == pytest.approx(1.0)
 
@@ -52,7 +54,7 @@ def test_visible_set_single_segment_fully_visible(unit_segment):
 def test_visible_set_square_from_below_sees_only_bottom(square):
     # the bottom edge spans the whole silhouette, hiding everything else
     vs = visible_set(square, (0.5, -3.0))
-    arr = pieces_array(vs)
+    arr = vs.segments
     assert float(np.abs(arr[:, [1, 3]]).max()) < 1e-9
     assert vs.total_length == pytest.approx(1.0, abs=1e-9)
 
@@ -62,7 +64,7 @@ def test_visible_set_square_diagonal_sees_two_edges(square):
     vs = visible_set(square, (-2.0, -2.0))
     assert vs.total_length == pytest.approx(2.0, abs=1e-9)
     # only the bottom (0) and left (3) edges contribute pieces
-    assert {p.segment_index for p in vs.pieces} == {0, 3}
+    assert set(vs.parents.tolist()) == {0, 3}
 
 
 def test_visible_set_circle_arc_length():
@@ -75,17 +77,17 @@ def test_visible_set_circle_arc_length():
 def test_visible_set_angular_coverage_matches_arc_diam(koch5):
     x = (0.5, -1.5)
     vs = visible_set(koch5, x)
-    arr = pieces_array(vs)
+    arr = vs.segments
     pts = np.vstack([arr[:, 0:2], arr[:, 2:4]])
     assert vs.angular_coverage == pytest.approx(arc_diam(x, pts), abs=1e-6)
 
 
 def test_visible_pieces_lie_on_parent_segments(koch5):
     vs = visible_set(koch5, (0.3, 2.0))
-    for p in vs.pieces:
-        parent = koch5.segments[p.segment_index : p.segment_index + 1]
-        assert float(point_segments_dist(np.asarray(p.start), parent).min()) < 1e-9
-        assert float(point_segments_dist(np.asarray(p.end), parent).min()) < 1e-9
+    for i, row in zip(vs.parents, vs.segments):
+        parent = koch5.segments[i : i + 1]
+        assert float(point_segments_dist(row[0:2], parent).min()) < 1e-9
+        assert float(point_segments_dist(row[2:4], parent).min()) < 1e-9
 
 
 def test_total_length_sums_math_hypot_lengths_in_piece_order(koch5):
@@ -97,9 +99,10 @@ def test_total_length_sums_math_hypot_lengths_in_piece_order(koch5):
     math.hypot's rounding, or say that the sweep's digests change.
     """
     vs = visible_set(koch5, (0.5, 1.2))
-    lengths = [math.hypot(p.end[0] - p.start[0], p.end[1] - p.start[1])
-               for p in vs.pieces]
+    lengths = [math.hypot(x1 - x0, y1 - y0)
+               for x0, y0, x1, y1 in vs.segments.tolist()]
     assert vs.total_length.hex() == float(np.sum(lengths)).hex()
+    assert [v.hex() for v in vs.lengths.tolist()] == [v.hex() for v in lengths]
 
 
 def test_visible_set_monotone_under_occlusion():
@@ -111,7 +114,7 @@ def test_visible_set_monotone_under_occlusion():
     )
     x = (3.0, 0.0)
     vs_free = visible_set(base, x)
-    arr = pieces_array(visible_set(blocked, x))
+    arr = visible_set(blocked, x).segments
     on_circle = arr[np.abs(np.hypot(arr[:, 0], arr[:, 1]) - 1.0) < 1e-6]
     len_blocked = float(
         np.sum(
@@ -217,7 +220,7 @@ def test_crossing_cache_on_self_crossing_soup(x):
     assert index.crossings() == pytest.approx(np.array([[0.0, 0.0]]))
     cached = visible_set(soup, x, index)
     fresh = visible_set(soup, x)
-    assert cached.pieces == fresh.pieces
+    assert_same_pieces(cached, fresh)
     assert cached.angular_coverage == fresh.angular_coverage
     pts, _ = sample_visible(cached, 64)
     eps = soup.min_seg_len / 100.0
@@ -232,7 +235,7 @@ def test_visible_set_rejects_index_of_another_curve(koch5, square):
 
 def test_visible_pieces_subsets_of_parents_level7(koch7):
     vs = visible_set(koch7, (0.5, -0.8))
-    arr = pieces_array(vs)
+    arr = vs.segments
     ends = np.vstack([arr[:, 0:2], arr[:, 2:4]])
     dists = np.array(
         [float(point_segments_dist(e, koch7.segments).min()) for e in ends]
@@ -250,8 +253,8 @@ def test_visible_set_json_round_trip(koch5):
     vs = visible_set(koch5, (0.5, -0.7))
     doc = json.loads(visible_set_to_json(vs))
     rows = np.array(doc["pieces"], dtype=float).reshape(-1, 5)
-    assert rows[:, 0].tolist() == [p.segment_index for p in vs.pieces]
-    assert rows[:, 1:].tobytes() == pieces_array(vs).tobytes()
+    assert rows[:, 0].tolist() == vs.parents.tolist()
+    assert rows[:, 1:].tobytes() == vs.segments.tobytes()
     assert doc["total_length"] == vs.total_length
     assert doc["angular_coverage"] == vs.angular_coverage
     assert doc["viewpoint"] == [vs.viewpoint.x, vs.viewpoint.y]
@@ -327,7 +330,7 @@ def test_min_reduction_matches_lexsort_winners(curve, x, chunk):
         assume(False)
     with mock.patch.object(visibility, "_first_hits", _lexsort_first_hits):
         want = visible_set(curve, x)
-    assert got.pieces == want.pieces
+    assert_same_pieces(got, want)
     assert got.angular_coverage == want.angular_coverage
 
 
@@ -387,7 +390,7 @@ def test_chunked_expansion_matches_unchunked(koch5, chunk):
             assert got.tobytes() == want.tobytes()
         for (c, x), want in zip(views, whole_vs):
             got = visible_set(c, x)
-            assert got.pieces == want.pieces
+            assert_same_pieces(got, want)
             assert got.angular_coverage == want.angular_coverage
 
 
@@ -415,6 +418,121 @@ def test_culled_sweep_matches_unculled_reference(make, views):
         assert got == want, chunk
 
 
+def _collinear_pair():
+    # Both segments lie on the x-axis, one on each side of the origin.
+    return from_segments([[1.0, 0.0, 2.0, 0.0], [-2.0, 0.0, -1.0, 0.0]])
+
+
+_DIGEST_VIEWS = dict(zip(["koch-classic-L5", "koch-1.5-L5", "quasicircle-L8",
+                          "soup-60"], _CULL_VIEWS))
+_DIGEST_VIEWS["soup-x"] = (_self_crossing_soup, [(2.05, 0.0), (0.4, 0.0), (-1e6, 1e6)])
+_DIGEST_VIEWS["no-pieces"] = (_collinear_pair, [(0.0, 0.0)])
+
+# sha256 of visible_set_to_json for each view of _DIGEST_VIEWS, in order.
+_DIGESTS = {
+    "koch-classic-L5": [
+        "d4e963b97a5c0cfb3a8a8aaae0a2fc09ebe9b300af61717900a562490f4eed72",
+        "61c7cec12ab06249d9186a3df7c60e6c3dd2362f4102b5c93e2e630b183c7e02",
+        "2c9e9c8db16e7c8e81902ba77bd1ad9caa3bf9eff9e4c3b85463cc9271a5c0b5",
+    ],
+    "koch-1.5-L5": [
+        "67c56fbeb7a8ca4480a686ed984db9f803bb16a2a90b69abe3b8082a72472fde",
+        "1643f4bece06b64832cd1d1f61173c35f526cfbcc5788b14076c3f082617033f",
+        "2123d0a339e4df364f583d9c4a2184cb0f90c8e1c7488311e809f39620edf47c",
+    ],
+    "quasicircle-L8": [
+        "e943285ae14338b06fda03fddbb49f07f74c160d5f63b8dc1c6acfe827703e8e",
+        "e954b10e597f499a20ff03cc272347be2081e7ff58dd91f251a556183335761b",
+        "c29ecf49013cccb4633f140e1797ff170715bbbac293762ce5d6e4d82eca19b4",
+    ],
+    "soup-60": [
+        "190874ee959d37a1ac4a4eb8c73d91030288f0889e0168c9c81fd2063946261b",
+        "4b89ca1f262b451f1c9b483e2e794098b337be6521a7d7a4629ae25ce9282e1b",
+        "82f5c117e3f49076ba3c3a24b854943815c3d0c53666cce3e41685f15e3eb75e",
+    ],
+    "soup-x": [
+        "ec03f06ac4024491cb647f52f8db17a6f95af1f8ec7bb642d1d205f1fae15882",
+        "b1f19171e5f782f4d909450d80cfc28e6799faa79684a7561071b7f386b780f4",
+        "b3caf82347590f478f4866d39af041a3125534ca681478c13a10d3028be0aec0",
+    ],
+    "no-pieces": [
+        "2a53769cdd555d26689af0877eca84980ad3c77dff0fd28ef360c71c7a3d7697",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(_DIGEST_VIEWS))
+def test_visible_set_json_keeps_the_piece_object_digests(name):
+    """The column assembly writes the bytes the piece-object one wrote.
+
+    The digests were recorded at commit cc01cb7, whose visible_set built one
+    VisiblePiece per run and sorted them with a tuple key, on an x86-64
+    Linux host (numpy 2.4.6, glibc's libm).  Views sit near, inside and
+    about 1e6 diameters from each curve; the last has no visible piece.  A
+    libm that rounds arctan2, cos or sin otherwise may change them.
+    """
+    make, views = _DIGEST_VIEWS[name]
+    curve = make()
+    got = [hashlib.sha256(visible_set_to_json(visible_set(curve, x)).encode())
+           .hexdigest() for x in views]
+    assert got == _DIGESTS[name]
+
+
+@given(curve=_grid_curves(),
+       x=st.one_of(st.tuples(st.integers(-4, 12), st.integers(-4, 12))
+                   .map(lambda p: (p[0] / 2.0, p[1] / 2.0)),
+                   st.tuples(st.floats(-2.0, 6.0), st.floats(-2.0, 6.0))))
+# The two pieces of the left segment come out top first; the sort puts the
+# lower one first.
+@example(curve=from_segments([[0, 0, 0, 4], [1, 1, 1, 3]]), x=(3.0, 2.0))
+# From here rays meet vertices of the Koch curve, cutting runs shorter than
+# EPS_GEOM, which the filter drops.
+@example(curve=koch_generalized(math.log(4) / math.log(3), 4),
+         x=(0.5, math.sqrt(3) / 12))
+def test_visible_set_columns_are_sorted_typed_and_exact(curve, x):
+    try:
+        vs = visible_set(curve, x)
+    except ValueError:
+        assume(False)
+    k = vs.parents.size
+    assert vs.parents.dtype == np.int64
+    assert vs.segments.dtype == np.float64 and vs.segments.shape == (k, 4)
+    assert vs.lengths.dtype == np.float64 and vs.lengths.shape == (k,)
+    rows = [(p, *r) for p, r in zip(vs.parents.tolist(), vs.segments.tolist())]
+    assert all(a <= b for a, b in zip(rows, rows[1:]))
+    for (x0, y0, x1, y1), length in zip(vs.segments.tolist(), vs.lengths.tolist()):
+        assert length.hex() == math.hypot(x1 - x0, y1 - y0).hex()
+        assert length > EPS_GEOM
+    assert vs.total_length.hex() == float(np.sum(vs.lengths)).hex()
+    pieces = vs.pieces
+    assert [p.segment_index for p in pieces] == vs.parents.tolist()
+    view = np.array([[*p.start, *p.end] for p in pieces]).reshape(-1, 4)
+    assert view.tobytes() == vs.segments.tobytes()
+    assert [p.length for p in pieces] == vs.lengths.tolist()
+
+
+@pytest.mark.parametrize("make, sweeps", [
+    (lambda: from_segments([[1.0, 0.0, 2.0, 0.0]]), 0),
+    (_collinear_pair, 1),
+], ids=["one-event", "no-coverage"])
+def test_empty_visible_sets_have_typed_empty_columns(make, sweeps):
+    # From the origin, one segment seen end-on gives a single event angle,
+    # so visible_set returns before the sweep; two on opposite sides give
+    # two events, and the sweep finds no probe covered.
+    with mock.patch.object(visibility, "_first_hits",
+                           wraps=visibility._first_hits) as spy:
+        vs = visible_set(make(), (0.0, 0.0))
+    assert spy.call_count == sweeps
+    assert vs.segments.shape == (0, 4) and vs.segments.dtype == np.float64
+    assert vs.parents.shape == (0,) and vs.parents.dtype == np.int64
+    assert vs.lengths.shape == (0,) and vs.lengths.dtype == np.float64
+    assert vs.total_length == 0.0 and vs.angular_coverage == 0.0
+    assert vs.pieces == []
+    with pytest.raises(ValueError, match="empty visible set"):
+        sample_visible(vs, 4)
+    assert '"pieces":[]' in visible_set_to_json(vs)
+
+
 def test_blocks_cover_in_order_within_budget():
     counts = np.array([0, 5, 3, 0, 9, 1, 1, 0, 4, 12, 0])
     with mock.patch.object(geom, "_CHUNK", 8):
@@ -436,7 +554,7 @@ from fracvis.visibility import SegmentIndex, visible_set
 curve = koch_generalized(1.5, 8)
 index = SegmentIndex(curve)
 x = plan_viewpoints(curve, ViewpointPlan(mode="grid", count=4), 0)[0]
-assert visible_set(curve, x, index).pieces
+assert len(visible_set(curve, x, index).segments)
 with open("/proc/self/status") as fh:
     print(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
 """
