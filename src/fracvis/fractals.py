@@ -497,6 +497,8 @@ def curve_from_json(text: str) -> CurveApprox:
     doc = json.loads(text, parse_int=lambda v: -0.0 if v == "-0" else int(v))
     spec = CurveSpec.from_dict(doc["spec"])
     segs = np.asarray(doc["segments"], dtype=float).reshape(-1, 4)
+    if not np.all(np.isfinite(segs)):
+        raise ValueError("cannot read non-finite number")
     theo = doc.get("theoretical_dim")
     if spec.kind == "cantor_cross":
         connected = False

@@ -3,11 +3,12 @@
 Two estimators, both reporting goodness of fit:
 
 * ``box_dimension``: occupied-cell counts over origin-anchored dyadic grids,
-  least-squares slope of log N(eps) against log(1/eps).  Point input counts
-  the cells holding points.  Curve input is rasterised exactly in one
-  vectorised pass: every segment's grid-line crossings are listed at once
-  (``geom._ragged_ranges``), sorted along the segment, and stepped through,
-  with one diagonal step at each grid corner.
+  least-squares slope of log N(eps) against log(1/eps).  Points or curves
+  are rasterised once, at the finest eps; curves exactly, their grid-line
+  crossings listed at once (``geom._ragged_ranges``) and stepped through in
+  order along each segment.  Halving eps is exact, so floor(x / eps_{k+1})
+  >> 1 == floor(x / eps_k), and coarse grid lines are fine ones at the same
+  crossing t: each coarser count shifts the distinct cells right one bit.
 * ``energy_dimension``: the largest exponent s whose discrete Riesz energy
   stays bounded as the sample grows (growth slope below
   ``ENERGY_SLOPE_THRESHOLD``), interpolated at the crossing.  Each energy
@@ -443,20 +444,16 @@ def energy_dimension(curve: CurveApprox, s_grid=None, n_grid=None,
 # ---------------------------------------------------------------------------
 
 
-def _count_cells(cells: np.ndarray) -> int:
-    """Number of distinct rows of an (n, 2) integer cell array."""
+def _distinct_cells(cells: np.ndarray) -> np.ndarray:
+    """Distinct rows of an (n, 2) integer cell array, in lexicographic order."""
     cells = cells[np.lexsort((cells[:, 1], cells[:, 0]))]
     new = np.ones(cells.shape[0], dtype=bool)
     new[1:] = np.any(cells[1:] != cells[:-1], axis=1)
-    return int(np.count_nonzero(new))
+    return cells[new]
 
 
-def _cells_of_points(pts: np.ndarray, eps: float) -> int:
-    return _count_cells(np.floor(pts / eps).astype(np.int64))
-
-
-def _cells_of_segments(segs: np.ndarray, eps: float) -> int:
-    """Exact count of grid cells met by the segments (origin-anchored grid).
+def _cells_of_segments(segs: np.ndarray, eps: float) -> np.ndarray:
+    """Grid cells met by the segments (origin-anchored grid), with repeats.
 
     A cell counts when its closed square meets a segment in positive length;
     a segment lying on a grid line goes to the cell above it or to its
@@ -465,7 +462,9 @@ def _cells_of_segments(segs: np.ndarray, eps: float) -> int:
     end cells a and b.  Sorted by their parameters t = (line eps - x1) / dx,
     the crossings step one cell in x or in y; an x- and a y-crossing at the
     same t (a grid corner) make one diagonal step.  Every t is computed
-    directly from its line, so no error accumulates along a segment.
+    directly from its line, so no error accumulates along a segment.  Lines
+    of the 2 eps grid are every other line here, at the same t, so these
+    cells shifted right one bit are exactly its cells at 2 eps.
     """
     n = segs.shape[0]
     p = segs[:, 0:2]
@@ -499,15 +498,14 @@ def _cells_of_segments(segs: np.ndarray, eps: float) -> int:
     # single point only.
     keep = np.ones(seg.size, dtype=bool)
     keep[:-1] = (seg[:-1] != seg[1:]) | (t[:-1] != t[1:]) | (axis[:-1] == axis[1:])
-    cells = cells[keep]
-    return _count_cells(np.vstack([a, cells]))
+    return np.vstack([a, cells[keep]])
 
 
 def dyadic_scales(scale_window: tuple[float, float],
                   n_scales: int | None = None) -> np.ndarray:
     """Dyadic scales upper, upper/2, ... inside the window, coarse to fine."""
     lo, hi = float(scale_window[0]), float(scale_window[1])
-    if not (0.0 < lo < hi):
+    if not (0.0 < lo < hi < math.inf):
         raise ValueError("scale window collapses: need 0 < min < max")
     scales = []
     eps = hi
@@ -540,35 +538,40 @@ def box_dimension(data, scale_window: tuple[float, float] | None = None,
     """Box-counting dimension of points or of a curve approximation.
 
     Grids are anchored at the origin with dyadic cell sizes; the estimate is
-    the least-squares slope of log N(eps) against log(1/eps).  Curve input
-    is rasterised exactly (every cell its segments meet); point input counts
-    occupied cells.  ``scale_window`` defaults to ``default_scale_window``
-    for curves and must be given for raw points.
+    the least-squares slope of log N(eps) against log(1/eps).  The input is
+    rasterised once, at the finest eps (exactly for curves, by occupied cell
+    for points); halving a normal eps is exact, so each coarser N(eps)
+    counts the distinct cells after one more right shift.  Cells must be
+    exact int64, so coordinates must be finite with |x| < 2**62 eps.
+    ``scale_window`` defaults to ``default_scale_window`` for curves and
+    must be given for raw points.
     """
     if isinstance(data, CurveApprox):
         if scale_window is None:
             scale_window = default_scale_window(data)
-        lo, hi = scale_window
-        if hi > data.diam:
+        if scale_window[1] > data.diam:
             raise ValueError("scale window exceeds the curve diameter")
-        if data.is_point_cloud:
-            counter = lambda eps: _cells_of_points(data.segments[:, 0:2], eps)
-        else:
-            counter = lambda eps: _cells_of_segments(data.segments, eps)
+        coords = data.segments[:, 0:2] if data.is_point_cloud else data.segments
     else:
-        pts = np.asarray(data, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
+        coords = np.asarray(data, dtype=float)
+        if coords.ndim != 2 or coords.shape[1] != 2:
             raise ValueError("points must be an (n, 2) array")
-        if pts.shape[0] == 0:
-            raise ValueError("cannot estimate dimension of an empty set")
         if scale_window is None:
             raise ValueError("point input requires an explicit scale window")
-        counter = lambda eps: _cells_of_points(pts, eps)
+    if coords.shape[0] == 0:
+        raise ValueError("cannot estimate dimension of an empty set")
 
     scales = dyadic_scales(scale_window, n_scales)
-    counts = np.array([counter(eps) for eps in scales], dtype=float)
-    if np.any(counts <= 0.0):
-        raise ValueError("empty cell count; window is wrong for this data")
+    eps = scales[-1]
+    if not (eps >= sys.float_info.min and np.all(np.abs(coords) < 2.0**62 * eps)):
+        raise ValueError("cells cannot be exact: need finite |x| < 2**62 eps, eps normal")
+    cells = (np.floor(coords / eps).astype(np.int64) if coords.shape[1] == 2
+             else _cells_of_segments(coords, eps))
+    counts = np.empty(scales.size)
+    for k in range(scales.size - 1, -1, -1):
+        cells = _distinct_cells(cells)
+        counts[k] = cells.shape[0]
+        cells = cells >> 1
     slope, _, stderr, r2 = fit_loglog(1.0 / scales, counts)
     return DimEstimate(
         value=float(slope),

@@ -317,6 +317,14 @@ def test_curve_json_rejects_non_finite_coordinates(bad):
         curve_to_json(dataclasses.replace(curve, segments=segs))
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_curve_json_reader_rejects_non_finite_coordinates(bad):
+    text = curve_to_json(polyline([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)]))
+    assert text.endswith("[1,0,2,1]]}")
+    with pytest.raises(ValueError, match="non-finite"):
+        curve_from_json(text.replace("[1,0,2,1]", f"[1,0,2,{bad}]"))
+
+
 def test_from_segments_soup():
     segs = np.array([[0.0, 0.0, 1.0, 0.0], [3.0, 0.0, 4.0, 0.0]])
     soup = from_segments(segs, kind="soup", connected=False)

@@ -10,7 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fracvis import cli, harness, svg
-from fracvis.fractals import CurveSpec, curve_to_json, generate
+from fracvis.fractals import (
+    CurveSpec,
+    curve_to_json,
+    from_segments,
+    generate,
+    polyline,
+    write_curve,
+)
 from fracvis.geom import point_segments_dist
 from fracvis.visibility import (
     VisibleSet,
@@ -386,6 +393,25 @@ def test_cli_generate_dim_energy_pipeline(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["value"] == pytest.approx(1.4461338383611861, abs=1e-9)
+
+
+def test_cli_dim_refuses_a_non_finite_curve_file(tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    text = curve_to_json(polyline([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)]))
+    path.write_text(text.replace("[1,0,2,1]", "[1,0,2,NaN]"), encoding="utf-8")
+    assert cli.main(["dim", "--curve", str(path)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_cli_dim_refuses_cells_that_cannot_be_exact(tmp_path, capsys):
+    # A point far out: floor(x / eps) would not fit int64 at these scales.
+    path = tmp_path / "cloud.json"
+    pts = np.array([[0.0, 0.0], [1.0, 1.0], [1e100, 1.0]])
+    write_curve(from_segments(np.hstack([pts, pts])), path)
+    rc = cli.main(["dim", "--curve", str(path), "--scale-min", "1e-3",
+                   "--scale-max", "0.25"])
+    assert rc == 1
+    assert "cannot be exact" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -15,9 +15,12 @@ from hypothesis import strategies as st
 from fracvis import geom, measurelab
 from fracvis.fractals import (
     DiscreteMeasure,
+    cantor_cross,
     circle,
     from_segments,
+    koch_generalized,
     polyline,
+    quasicircle,
     sample_arclength,
     uniform_measure,
 )
@@ -293,11 +296,94 @@ _SEGMENTS = st.tuples(_EIGHTHS, _EIGHTHS, _EIGHTHS, _EIGHTHS).filter(
          eps=Fraction(1, 8))
 def test_cells_of_segments_matches_exact_oracle(segs, eps):
     # Eighth-integer endpoints on dyadic grids are exact in floating point,
-    # so the rasteriser must agree with the exact count, grid corners and
-    # segments along grid lines included.
-    expected = set().union(*(_cells_met_exact(s, eps) for s in segs))
-    got = _cells_of_segments(np.array(segs, dtype=float), float(eps))
-    assert got == len(expected)
+    # so the rasteriser must agree with the exact cell sets, grid corners and
+    # segments along grid lines included.  One rasterisation at eps, shifted
+    # right k bits, must give the cells at eps * 2**k.
+    cells = _cells_of_segments(np.array(segs, dtype=float), float(eps))
+    for k in range(4):
+        expected = set().union(*(_cells_met_exact(s, eps * 2**k) for s in segs))
+        assert set(map(tuple, (cells >> k).tolist())) == expected
+
+
+_SIXTEENTHS = st.integers(-64, 64).map(lambda k: k / 16.0)
+
+
+@given(
+    pts=st.lists(st.tuples(_SIXTEENTHS | st.floats(-4.0, 4.0),
+                           _SIXTEENTHS | st.floats(-4.0, 4.0)),
+                 min_size=1, max_size=40),
+    top=st.sampled_from([1.0, 2.0, 4.0]),
+)
+@example(pts=[(0.0, 0.0), (0.0, -5e-324)], top=2.0)
+def test_box_dimension_point_pyramid_matches_per_scale_floor(pts, top):
+    # Negative coordinates and points on grid lines: the shifted finest
+    # cells must count like a fresh floor at every scale, so >> must floor.
+    # Dyadic eps divides these coordinates exactly, so this is the floor
+    # np.floor(pts / eps) takes, except where the quotient underflows: a
+    # per-scale -5e-324 / 2 rounds to -0.0 and floors to 0, while the
+    # pyramid keeps the exact cell -1 from the finest scale.
+    scales = dyadic_scales((top / 32.0, top))
+    with mock.patch.object(measurelab, "fit_loglog",
+                           wraps=measurelab.fit_loglog) as fit:
+        box_dimension(np.array(pts), scale_window=(top / 32.0, top))
+    counts = fit.call_args.args[1]
+    expected = [len({tuple(math.floor(Fraction(v) / Fraction(eps)) for v in p)
+                     for p in pts}) for eps in scales]
+    assert counts.tolist() == expected
+
+
+def test_box_dimension_rasterises_a_curve_once(koch5):
+    with mock.patch.object(measurelab, "_cells_of_segments",
+                           wraps=measurelab._cells_of_segments) as raster:
+        est = box_dimension(koch5)
+    assert raster.call_count == 1
+    assert raster.call_args.args[1] == est.scale_window[0]
+
+
+@pytest.mark.parametrize("make, bits", [
+    (lambda: koch_generalized(1.5, 8), "0x1.8a9eb568df5fcp+0"),
+    (lambda: quasicircle(3, 0.6, 10), "0x1.5d89ad8ccecd5p+0"),
+    (lambda: cantor_cross(1 / 3, 6), "0x1.50d8f02d4678bp+0"),
+])
+def test_box_dimension_d_hat_bits_are_pinned(make, bits):
+    assert box_dimension(make()).value.hex() == bits
+
+
+_INFINITE_DIAMETER_PROBE = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+from fracvis.fractals import polyline
+from fracvis.measurelab import box_dimension
+with np.errstate(over="ignore"):
+    curve = polyline([(0.0, 0.0), (1.0, 0.0), (1e200, 1.0)])
+assert curve.diam == float("inf")
+try:
+    box_dimension(curve)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_box_dimension_refuses_an_infinite_window():
+    # An overflowing diameter puts the default window's upper end at inf,
+    # which no halving brings below the lower end; the address-space cap
+    # turns a regression into a MemoryError, not an exhausted machine.
+    out = subprocess.run([sys.executable, "-c", _INFINITE_DIAMETER_PROBE],
+                         check=True, capture_output=True, text=True, timeout=120)
+    assert "scale window collapses" in out.stdout
+
+
+@pytest.mark.parametrize("bad", [1e300, math.inf, -math.inf, math.nan])
+def test_box_dimension_refuses_cells_that_cannot_be_exact(bad):
+    # floor(x / eps) must fit int64 exactly, or the shifted counts lie.
+    pts = np.array([[0.1, 0.2], [0.5, 0.7], [bad, 1.0]])
+    with pytest.raises(ValueError, match="cannot be exact"):
+        box_dimension(pts, scale_window=(1e-3, 0.25))
+    # Just inside the bound, every cell is still exact.
+    finest = dyadic_scales((1e-3, 0.25))[-1]
+    pts[2, 0] = np.nextafter(2.0**62 * finest, 0.0)
+    assert box_dimension(pts, scale_window=(1e-3, 0.25)).n_scales == 8
 
 
 def test_box_dimension_rejects_bad_windows(unit_segment):
