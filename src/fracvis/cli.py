@@ -8,6 +8,7 @@ arguments or bad input values), 2 runtime error (I/O or internal failure).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -169,9 +170,7 @@ def _cmd_sweep(args) -> int:
         Path(args.config).read_text(encoding="utf-8")
     )
     if args.out is not None:
-        config = harness.ExperimentConfig.from_dict(
-            {**config.to_dict(), "output_dir": args.out}
-        )
+        config = dataclasses.replace(config, output_dir=args.out)
     report = harness.run_sweep(config, workers=args.workers,
                                render=not args.no_render)
     _emit(

@@ -21,8 +21,10 @@ Families
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,34 +44,78 @@ QUASI_ROUGHNESS = 0.6
 _QUASI_BUMP_CLIP = 0.95
 
 
+def check_keys(cls, d) -> dict:
+    """``d`` unchanged if it can build the record ``cls``, else ValueError.
+
+    Refuses anything but a JSON object, one lacking a field that has no
+    default, and one with a key that names no field (a misspelt key would
+    otherwise leave its field at the default).
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, "
+                         f"got {type(d).__name__}")
+    fields = dataclasses.fields(cls)
+    missing = [f.name for f in fields if f.name not in d
+               and f.default is f.default_factory is dataclasses.MISSING]
+    unknown = sorted(set(d) - {f.name for f in fields})
+    if missing:
+        raise ValueError(f"{cls.__name__} lacks required field {missing[0]!r}")
+    if unknown:
+        raise ValueError(f"{cls.__name__} has unknown field {unknown[0]!r}")
+    return d
+
+
+def coerce_fields(record, **kinds) -> None:
+    """Set each named field of a frozen record to its value as its kind.
+
+    A kind is int, float, str, dict, or a tuple of floats written
+    ``(float,) * n``.  Numbers must be finite, bools are not numbers, and an
+    int must be integral, so ``count: 2.7`` is refused rather than cut to 2.
+    A field whose default is None may stay None.  Raises ValueError naming
+    the field.
+    """
+    nullable = {f.name for f in dataclasses.fields(record) if f.default is None}
+    for name, kind in kinds.items():
+        value = getattr(record, name)
+        if value is not None or name not in nullable:
+            object.__setattr__(record, name, _as_kind(value, kind, name))
+
+
+def _as_kind(value, kind, name: str):
+    if isinstance(kind, tuple):
+        if isinstance(value, (list, tuple)) and len(value) == len(kind):
+            return tuple(_as_kind(v, float, name) for v in value)
+    elif kind in (str, dict):
+        if isinstance(value, kind):
+            return kind(value)
+    elif (isinstance(value, numbers.Real) and not isinstance(value, bool)
+          and -math.inf < value < math.inf and kind(value) == value):
+        return kind(value)
+    what = (f"a list of {len(kind)} numbers" if isinstance(kind, tuple)
+            else kind.__name__)
+    raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CurveSpec:
     """Recipe for a curve: family, parameters, and RNG seed."""
 
     kind: str
-    target_dim: float | None
-    level: int
-    seed: int
+    target_dim: float | None = None
+    level: int = 0
+    seed: int = 0
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        coerce_fields(self, kind=str, target_dim=float, level=int, seed=int,
+                      params=dict)
+
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "target_dim": self.target_dim,
-            "level": self.level,
-            "seed": self.seed,
-            "params": dict(self.params),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CurveSpec":
-        return cls(
-            kind=str(d["kind"]),
-            target_dim=None if d.get("target_dim") is None else float(d["target_dim"]),
-            level=int(d.get("level", 0)),
-            seed=int(d.get("seed", 0)),
-            params=dict(d.get("params", {})),
-        )
+        return cls(**check_keys(cls, d))
 
 
 @dataclass

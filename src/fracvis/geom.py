@@ -450,15 +450,22 @@ def diameter(points) -> float:
 
     Points strictly inside the octagon of extreme points cannot be hull
     vertices and are dropped before the hull is built; the hull, and so
-    the diameter, is exactly that of the whole set.
+    the diameter, is exactly that of the whole set.  The kept points are
+    scaled by a power of two into [-1, 1], which is exact; two distinct
+    points then lie at least 2**-54 apart, so the largest square neither
+    overflows nor underflows.
     """
     pts = _points_array(points)
     if pts.shape[0] == 0:
         raise ValueError("diameter of an empty set")
     if pts.shape[0] == 1:
         return 0.0
-    hull = _convex_hull(pts[~_octagon_interior(pts)])
+    # An orientation that overflows compares false, which only keeps a point.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kept = pts[~_octagon_interior(pts)]
+    e = int(np.frexp(max(pts.max(), -pts.min()))[1])
+    hull = _convex_hull(np.ldexp(kept, -e))
     if hull.shape[0] <= 1:
         return 0.0
     d = hull[:, None, :] - hull[None, :, :]
-    return float(np.sqrt(np.max(np.sum(d * d, axis=2))))
+    return float(np.ldexp(np.sqrt(np.max(np.sum(d * d, axis=2))), e))

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import svg as svgmod
-from .fractals import CurveApprox, CurveSpec, generate
+from .fractals import CurveApprox, CurveSpec, check_keys, coerce_fields, generate
 from .geom import EPS_GEOM, TWO_PI, point_segments_dist
 from .measurelab import DimEstimate, box_dimension, default_scale_window
 from .visibility import SegmentIndex, VisibleSet, sample_visible, visible_set
@@ -42,26 +42,18 @@ MIN_EXCEPTIONAL_POINTS = 20
 
 _PLACEMENT_TRIES = 128
 
-CSV_COLUMNS = [
-    "experiment_id",
-    "curve_kind",
-    "target_dim",
-    "level",
-    "seed",
-    "vp_index",
-    "vp_x",
-    "vp_y",
-    "dist_to_set",
-    "n_pieces",
-    "visible_length",
-    "angular_coverage",
-    "dim_visible",
-    "dim_visible_stderr",
-    "r_squared",
-    "f_bound",
-    "within_bound",
-    "error_flag",
+# results.csv: each column with the parser that reads it back into a
+# SweepRow field; None marks the sweep-level columns a row does not hold.
+_CSV = [
+    ("experiment_id", None), ("curve_kind", None), ("target_dim", None),
+    ("level", None), ("seed", None), ("vp_index", int), ("vp_x", float),
+    ("vp_y", float), ("dist_to_set", float), ("n_pieces", int),
+    ("visible_length", float), ("angular_coverage", float),
+    ("dim_visible", float), ("dim_visible_stderr", float),
+    ("r_squared", float), ("f_bound", None), ("within_bound", None),
+    ("error_flag", str),
 ]
+CSV_COLUMNS = [name for name, _ in _CSV]
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +93,11 @@ def exceptional_bound(d: float, s: float) -> float:
     return (d - s) / (s - 1.0)
 
 
+def _within_bound(dim: float, f_bound: float, tol: float) -> bool:
+    """The scoring rule: a finite estimate at most ``tol`` above f(d)."""
+    return math.isfinite(dim) and dim <= f_bound + tol
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -124,6 +121,7 @@ class ViewpointPlan:
     region: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
+        coerce_fields(self, count=int, radii=(float,) * 2, region=(float,) * 4)
         if self.mode not in ("grid", "random", "ring"):
             raise ValueError("viewpoint mode must be grid, random, or ring")
         if self.count < 1:
@@ -146,14 +144,7 @@ class ViewpointPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ViewpointPlan":
-        radii = d.get("radii")
-        region = d.get("region")
-        return cls(
-            mode=d.get("mode", "ring"),
-            count=int(d.get("count", 50)),
-            radii=None if radii is None else (float(radii[0]), float(radii[1])),
-            region=None if region is None else tuple(float(v) for v in region),
-        )
+        return cls(**check_keys(cls, d))
 
 
 @dataclass(frozen=True)
@@ -169,6 +160,7 @@ class EstimatorPlan:
     scale_window: tuple[float, float] | None = None
 
     def __post_init__(self):
+        coerce_fields(self, n_scales=int, scale_window=(float,) * 2)
         if self.scale_policy not in ("auto", "fixed"):
             raise ValueError("scale policy must be auto or fixed")
         if self.scale_policy == "fixed" and self.scale_window is None:
@@ -188,13 +180,7 @@ class EstimatorPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimatorPlan":
-        sw = d.get("scale_window")
-        ns = d.get("n_scales")
-        return cls(
-            scale_policy=d.get("scale_policy", "auto"),
-            n_scales=None if ns is None else int(ns),
-            scale_window=None if sw is None else (float(sw[0]), float(sw[1])),
-        )
+        return cls(**check_keys(cls, d))
 
 
 @dataclass(frozen=True)
@@ -209,6 +195,8 @@ class ExperimentConfig:
     bound_tol: float = BOUND_TOL_DEFAULT
 
     def __post_init__(self):
+        coerce_fields(self, samples_per_visible=int, s_threshold=float,
+                      seed=int, output_dir=str, bound_tol=float)
         if self.samples_per_visible < 16:
             raise ValueError("samples_per_visible must be at least 16")
         if not (1.0 < self.s_threshold < 2.0):
@@ -224,16 +212,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(
-            curve=CurveSpec.from_dict(d["curve"]),
-            viewpoints=ViewpointPlan.from_dict(d.get("viewpoints", {})),
-            samples_per_visible=int(d.get("samples_per_visible", 4096)),
-            estimator=EstimatorPlan.from_dict(d.get("estimator", {})),
-            s_threshold=float(d.get("s_threshold", 1.5)),
-            seed=int(d.get("seed", 0)),
-            output_dir=str(d.get("output_dir", ".")),
-            bound_tol=float(d.get("bound_tol", BOUND_TOL_DEFAULT)),
-        )
+        d = dict(check_keys(cls, d))
+        for name, record in (("curve", CurveSpec), ("viewpoints", ViewpointPlan),
+                             ("estimator", EstimatorPlan)):
+            if name in d:
+                try:
+                    d[name] = record.from_dict(d[name])
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {exc}") from None
+        return cls(**d)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -435,26 +422,27 @@ class BoundReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoundReport":
+        d = check_keys(cls, d)
         dh = d["d_hat"]
         d_hat = DimEstimate.from_dict(dh) if "n_scales" in dh else float(dh["value"])
         return cls(
             experiment_id=d["experiment_id"],
             d_hat=d_hat,
-            theoretical_dim=d.get("theoretical_dim"),
+            theoretical_dim=d["theoretical_dim"],
             f_bound=float(d["f_bound"]),
             bound_tol=float(d["bound_tol"]),
             s_threshold=float(d["s_threshold"]),
-            rows=list(d.get("rows", [])),
+            rows=list(d["rows"]),
             fraction_within=float(d["fraction_within"]),
             exceptional_set_fraction=float(d["exceptional_set_fraction"]),
             exceptional_bound=float(d["exceptional_bound"]),
             exceptional_set_dim=(
-                None if d.get("exceptional_set_dim") is None
+                None if d["exceptional_set_dim"] is None
                 else float(d["exceptional_set_dim"])
             ),
-            exceptional_set_flag=d.get("exceptional_set_flag", ""),
+            exceptional_set_flag=d["exceptional_set_flag"],
             max_dim_visible=(
-                None if d.get("max_dim_visible") is None
+                None if d["max_dim_visible"] is None
                 else float(d["max_dim_visible"])
             ),
         )
@@ -494,7 +482,7 @@ def aggregate_report(rows: list[SweepRow], d_hat: DimEstimate | float,
     f_bound = bound_value(max(d_val, 0.75))
     dims = np.array([r.dim_visible for r in rows])
     ok = np.isfinite(dims)
-    within = ok & (dims <= f_bound + tol)
+    within = [_within_bound(r.dim_visible, f_bound, tol) for r in rows]
     exceptional = ok & (dims > s_threshold)
     n = len(rows)
     exc_points = np.array(
@@ -557,37 +545,17 @@ def _csv_cell(v) -> str:
 
 def write_results_csv(path, config: ExperimentConfig, rows: list[SweepRow],
                       f_bound: float) -> None:
-    experiment_id = config.experiment_id()
     spec = config.curve
+    sweep = {"experiment_id": config.experiment_id(), "curve_kind": spec.kind,
+             "target_dim": spec.target_dim, "level": spec.level,
+             "seed": config.seed, "f_bound": f_bound}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(CSV_COLUMNS)
         for r in rows:
-            within = math.isfinite(r.dim_visible) and (
-                r.dim_visible <= f_bound + config.bound_tol
-            )
-            w.writerow(
-                [
-                    experiment_id,
-                    spec.kind,
-                    _csv_cell(spec.target_dim),
-                    _csv_cell(spec.level),
-                    _csv_cell(config.seed),
-                    _csv_cell(r.vp_index),
-                    _csv_cell(r.vp_x),
-                    _csv_cell(r.vp_y),
-                    _csv_cell(r.dist_to_set),
-                    _csv_cell(r.n_pieces),
-                    _csv_cell(r.visible_length),
-                    _csv_cell(r.angular_coverage),
-                    _csv_cell(r.dim_visible),
-                    _csv_cell(r.dim_visible_stderr),
-                    _csv_cell(r.r_squared),
-                    _csv_cell(f_bound),
-                    _csv_cell(within),
-                    r.error_flag,
-                ]
-            )
+            cells = {**sweep, **vars(r), "within_bound": _within_bound(
+                r.dim_visible, f_bound, config.bound_tol)}
+            w.writerow([_csv_cell(cells[name]) for name in CSV_COLUMNS])
 
 
 def read_results_csv(path) -> list[SweepRow]:
@@ -614,26 +582,11 @@ def _read_results(path) -> tuple[str, list[SweepRow]]:
             if len(rec) != len(CSV_COLUMNS):
                 fail(line_no, f"expected {len(CSV_COLUMNS)} fields, got {len(rec)}")
             if not rows:
-                experiment_id = rec[0]
+                experiment_id = rec[CSV_COLUMNS.index("experiment_id")]
             try:
-                rows.append(
-                    SweepRow(
-                        vp_index=int(rec[5]),
-                        vp_x=float(rec[6]),
-                        vp_y=float(rec[7]),
-                        dist_to_set=float(rec[8]),
-                        n_pieces=int(rec[9]),
-                        visible_length=float(rec[10]),
-                        angular_coverage=float(rec[11]),
-                        dim_visible=float(rec[12]),
-                        dim_visible_stderr=float(rec[13]),
-                        r_squared=float(rec[14]),
-                        error_flag=rec[17],
-                    )
-                )
-            except (ValueError, IndexError) as exc:
-                if "line" in str(exc):
-                    raise
+                rows.append(SweepRow(**{name: parse(cell) for (name, parse), cell
+                                        in zip(_CSV, rec) if parse}))
+            except ValueError as exc:
                 fail(line_no, str(exc))
     return experiment_id, rows
 

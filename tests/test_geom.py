@@ -1,6 +1,7 @@
 """Geometry primitives: angular measurements, cones, the ray-hit kernel."""
 
 import math
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fracvis import geom
-from fracvis.fractals import koch_generalized
+from fracvis.fractals import koch_generalized, polyline
 from fracvis.geom import (
     EPS_GEOM,
     Annulus,
@@ -253,6 +254,21 @@ def test_diameter_square():
     assert diameter(pts) == pytest.approx(math.sqrt(2.0))
 
 
+@pytest.mark.parametrize("k", [-700, 600])
+def test_diameter_is_exact_at_any_scale(k):
+    # Unscaled squares underflow to 0 at 2**-700 and overflow at 2**600.
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert diameter(pts * 2.0**k) == diameter(pts) * 2.0**k
+
+
+def test_diameter_of_a_huge_gap_is_finite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert polyline([(0.0, 0.0), (1.0, 0.0), (1e200, 1.0)]).diam == 1e200
+
+
 def _diameter_cases(kind: str, seed: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if kind == "random":
@@ -280,6 +296,7 @@ def _diameter_cases(kind: str, seed: int, n: int) -> np.ndarray:
 
 @given(kind=st.sampled_from(["random", "collinear", "duplicated", "near_edge"]),
        seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200))
+@example(kind="duplicated", seed=0, n=2)  # two equal points: the octagon keeps none
 def test_diameter_equals_brute_force(kind, seed, n):
     pts = _diameter_cases(kind, seed, n)
     d = pts[:, None, :] - pts[None, :, :]

@@ -207,6 +207,44 @@ def test_experiment_config_validation(tmp_path):
         ExperimentConfig(curve=CurveSpec("koch", 1.5, 3, 0), bound_tol=-0.1)
 
 
+def test_configs_coerce_their_own_fields():
+    plan = ViewpointPlan(count=2.0, radii=[1, 3])
+    assert plan == ViewpointPlan(count=2, radii=(1.0, 3.0))
+    assert type(plan.count) is int and type(plan.radii[0]) is float
+    assert CurveSpec("koch", 1) == CurveSpec("koch", 1.0, 0, 0, {})
+    with pytest.raises(ValueError, match="count must be int"):
+        ViewpointPlan(count=2.7)
+    with pytest.raises(ValueError, match="level must be int"):
+        CurveSpec("koch", 1.5, True)
+    with pytest.raises(ValueError, match="bound_tol must be float"):
+        ExperimentConfig(curve=CurveSpec("koch", 1.5), bound_tol=math.nan)
+    with pytest.raises(ValueError, match="region must be a list of 4 numbers"):
+        ViewpointPlan(mode="grid", region=(0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ExperimentConfig(curve=CurveSpec("koch", 1.5, 6, 0), bound_tol=0),
+        ExperimentConfig(curve=CurveSpec("koch", 1.5, 6, 0),
+                         viewpoints=ViewpointPlan(radii=(1, 3))),
+        ExperimentConfig(curve=CurveSpec("circle", 1, 0, 0, {"n": 512})),
+    ],
+    ids=["bound_tol", "radii", "target_dim"],
+)
+def test_experiment_id_depends_only_on_the_config_value(cfg):
+    back = ExperimentConfig.from_json(cfg.to_json())
+    assert back == cfg
+    assert back.experiment_id() == cfg.experiment_id()
+
+
+def test_experiment_id_of_the_criterion_7_config_is_pinned():
+    cfg = ExperimentConfig(curve=CurveSpec("koch", 1.5, 7, 0),
+                           viewpoints=ViewpointPlan(mode="ring", count=100),
+                           samples_per_visible=4096, seed=0)
+    assert cfg.experiment_id() == "f528e94ebefa"
+
+
 def test_experiment_id_ignores_output_dir(tmp_path):
     a = tiny_config(tmp_path / "a")
     b = tiny_config(tmp_path / "b")
@@ -315,6 +353,16 @@ def test_sweep_and_cli_never_build_piece_objects(sweep_out, koch5, tmp_path,
     assert f"pieces: {n}  total_length" in capsys.readouterr().out
 
 
+def test_results_csv_header_is_pinned(sweep_out):
+    out, _ = sweep_out
+    header = (out / "results.csv").read_text().splitlines()[0]
+    assert header == (
+        "experiment_id,curve_kind,target_dim,level,seed,vp_index,vp_x,vp_y,"
+        "dist_to_set,n_pieces,visible_length,angular_coverage,dim_visible,"
+        "dim_visible_stderr,r_squared,f_bound,within_bound,error_flag"
+    )
+
+
 def test_results_csv_round_trip(sweep_out):
     out, _ = sweep_out
     rows = read_results_csv(out / "results.csv")
@@ -333,6 +381,13 @@ def test_read_results_csv_rejects_malformed(sweep_out, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="line 3"):
+        read_results_csv(bad)
+    # float("baseline")'s own message contains "line"; it is prefixed too.
+    cells = path.read_text().splitlines()[2].split(",")
+    cells[6] = "baseline"
+    lines[2] = ",".join(cells)
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: line 3: .*'baseline'"):
         read_results_csv(bad)
     worse = tmp_path / "worse.csv"
     worse.write_text("alpha,beta\n1,2\n")
@@ -450,6 +505,52 @@ def test_cli_generate_rejects_odd_polyline_points(tmp_path, capsys):
     assert rc == 1
     assert "--points" in capsys.readouterr().err
     assert not path.exists()
+
+
+_GOOD_CONFIG = {"curve": {"kind": "koch", "target_dim": 1.5, "level": 6},
+                "viewpoints": {"mode": "ring", "count": 6}}
+
+
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("sweep", {"viewpoints": {"count": 6}}, "curve"),
+        ("sweep", {**_GOOD_CONFIG, "viewpoints": "ring"}, "viewpoints"),
+        ("sweep", [_GOOD_CONFIG], "JSON object"),
+        ("sweep", {**_GOOD_CONFIG, "viewpoints": {"radii": [1]}}, "radii"),
+        ("sweep", {**_GOOD_CONFIG, "viewpoints": {"radii": [1, 2, 3]}}, "radii"),
+        ("sweep", {**_GOOD_CONFIG, "viewpoints": {"count": 2.7}}, "count"),
+        ("sweep", {**_GOOD_CONFIG, "samples_per_visibel": 256},
+         "samples_per_visibel"),
+        ("sweep", {**_GOOD_CONFIG, "estimator": {"scale_policy": "fixed",
+                                                 "scale_window": [0.01]}},
+         "scale_window"),
+        ("render", "no f_bound", "f_bound"),
+        ("render", "list", "JSON object"),
+    ],
+    ids=["no-curve", "viewpoints-string", "top-level-list", "one-radius",
+         "three-radii", "fractional-count", "misspelt-key", "one-scale",
+         "report-without-f_bound", "report-list"],
+)
+def test_cli_refuses_malformed_configs_and_reports(sweep_out, tmp_path, capsys,
+                                                   command, doc, field):
+    out, report = sweep_out
+    path = tmp_path / "input.json"
+    if command == "sweep":
+        path.write_text(json.dumps(doc))
+        argv = ["--config", str(path), "--out", str(tmp_path / "run"), "sweep"]
+    else:
+        rep = report.to_dict()
+        del rep["f_bound"]
+        path.write_text(json.dumps(rep if doc == "no f_bound" else [rep]))
+        curve_path = tmp_path / "curve.json"
+        write_curve(generate(tiny_config(out).curve), curve_path)
+        argv = ["--out", str(tmp_path / "svg"), "render", "--results",
+                str(out / "results.csv"), "--report", str(path),
+                "--curve", str(curve_path)]
+    assert cli.main(argv) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_sweep_and_verify(tmp_path, capsys):

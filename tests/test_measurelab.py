@@ -356,8 +356,8 @@ import numpy as np
 from fracvis.fractals import polyline
 from fracvis.measurelab import box_dimension
 with np.errstate(over="ignore"):
-    curve = polyline([(0.0, 0.0), (1.0, 0.0), (1e200, 1.0)])
-assert curve.diam == float("inf")
+    curve = polyline([(-1e308, 0.0), (1e308, 0.0), (1e308, 1.0)])
+assert curve.diam == float("inf") and curve.min_seg_len == 1.0
 try:
     box_dimension(curve)
 except ValueError as exc:
@@ -366,9 +366,10 @@ except ValueError as exc:
 
 
 def test_box_dimension_refuses_an_infinite_window():
-    # An overflowing diameter puts the default window's upper end at inf,
-    # which no halving brings below the lower end; the address-space cap
-    # turns a regression into a MemoryError, not an exhausted machine.
+    # A diameter past the largest float (2e308 here) puts the default
+    # window's upper end at inf, which no halving brings below the lower
+    # end; the address-space cap turns a regression into a MemoryError,
+    # not an exhausted machine.
     out = subprocess.run([sys.executable, "-c", _INFINITE_DIAMETER_PROBE],
                          check=True, capture_output=True, text=True, timeout=120)
     assert "scale window collapses" in out.stdout
