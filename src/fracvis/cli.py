@@ -38,19 +38,16 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a curve file")
-    g.add_argument("--kind", required=True,
-                   choices=["koch", "quasicircle", "circle", "polyline",
-                            "cantor_cross"])
-    g.add_argument("--target-dim", type=float, default=None)
+    g.add_argument("--kind", required=True, choices=list(fractals.FAMILIES))
+    g.add_argument("--target-dim", type=float)
     g.add_argument("--level", type=int, default=5)
-    g.add_argument("--roughness", type=float, default=None)
-    g.add_argument("--ratio", type=float, default=1.0 / 3.0,
+    g.add_argument("--roughness", type=float)
+    g.add_argument("--ratio", type=float,
                    help="contraction ratio for cantor_cross")
-    g.add_argument("--radius", type=float, default=1.0)
-    g.add_argument("--center", type=float, nargs=2, default=(0.0, 0.0))
-    g.add_argument("--n", type=int, default=256,
-                   help="segment count for circle")
-    g.add_argument("--points", type=float, nargs="+", default=None,
+    g.add_argument("--radius", type=float)
+    g.add_argument("--center", type=float, nargs=2)
+    g.add_argument("--n", type=int, help="segment count for circle")
+    g.add_argument("--points", type=float, nargs="+",
                    help="flat x y list for polyline")
 
     v = sub.add_parser("visible", help="exact visible set from a viewpoint")
@@ -113,22 +110,19 @@ def _write_or_print(args, text: str, default_name: str) -> None:
 
 
 def _cmd_generate(args) -> int:
-    if args.kind == "koch" and args.target_dim is None:
-        raise ValueError("koch needs --target-dim")
-    if args.kind == "polyline" and (
-        args.points is None or len(args.points) < 4 or len(args.points) % 2
-    ):
+    # --level and --seed always have a value, so they go only to the families
+    # that read them; generate() refuses every other flag a family ignores.
+    if args.points is not None and (len(args.points) < 4 or len(args.points) % 2):
         raise ValueError("polyline needs --points x1 y1 x2 y2 ...")
-    params = {
-        "quasicircle": ({} if args.roughness is None
-                        else {"roughness": args.roughness}),
-        "circle": {"cx": args.center[0], "cy": args.center[1],
-                   "radius": args.radius, "n": args.n},
-        "polyline": {"points": args.points},
-        "cantor_cross": {"ratio": args.ratio},
-    }.get(args.kind, {})
-    spec = fractals.CurveSpec(args.kind, args.target_dim, args.level, args.seed,
-                              params)
+    cx, cy = args.center or (None, None)
+    flags = {"roughness": args.roughness, "ratio": args.ratio, "cx": cx,
+             "cy": cy, "radius": args.radius, "n": args.n, "points": args.points}
+    _, reads, _ = fractals.FAMILIES[args.kind]
+    always = {"level": args.level, "seed": args.seed}
+    spec = fractals.CurveSpec(
+        args.kind, args.target_dim,
+        params={name: v for name, v in flags.items() if v is not None},
+        **{name: v for name, v in always.items() if name in reads})
     curve = fractals.generate(spec)
     _write_or_print(args, fractals.curve_to_json(curve), "curve.json")
     return 0

@@ -16,7 +16,9 @@ Families
   star-shaped about the origin).
 * ``circle`` / ``polyline``: polygonal fixtures of dimension 1.
 * ``cantor_cross``: product of two linear Cantor sets, kept as a point
-  cloud of degenerate segments and flagged disconnected.
+  cloud of degenerate segments.
+
+:data:`FAMILIES` is the one definition of each family.
 """
 
 from __future__ import annotations
@@ -49,12 +51,13 @@ def check_keys(cls, d) -> dict:
 
     Refuses anything but a JSON object, one lacking a field that has no
     default, and one with a key that names no field (a misspelt key would
-    otherwise leave its field at the default).
+    otherwise leave its field at the default).  A field the record derives
+    itself (``init=False``) is no key.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, "
                          f"got {type(d).__name__}")
-    fields = dataclasses.fields(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.init]
     missing = [f.name for f in fields if f.name not in d
                and f.default is f.default_factory is dataclasses.MISSING]
     unknown = sorted(set(d) - {f.name for f in fields})
@@ -68,9 +71,9 @@ def check_keys(cls, d) -> dict:
 def coerce_fields(record, **kinds) -> None:
     """Set each named field of a frozen record to its value as its kind.
 
-    A kind is int, float, str, dict, or a tuple of floats written
-    ``(float,) * n``.  Numbers must be finite, bools are not numbers, and an
-    int must be integral, so ``count: 2.7`` is refused rather than cut to 2.
+    A kind is int, float, str, dict, list (of floats) or ``(float,) * n`` (a
+    tuple of n floats).  Numbers must be finite, bools are not numbers, and
+    an int must be integral, so ``count: 2.7`` is refused, not cut to 2.
     A field whose default is None may stay None.  Raises ValueError naming
     the field.
     """
@@ -82,16 +85,18 @@ def coerce_fields(record, **kinds) -> None:
 
 
 def _as_kind(value, kind, name: str):
-    if isinstance(kind, tuple):
-        if isinstance(value, (list, tuple)) and len(value) == len(kind):
-            return tuple(_as_kind(v, float, name) for v in value)
+    if kind is list or isinstance(kind, tuple):
+        if isinstance(value, (list, tuple)) and kind in (list, (float,) * len(value)):
+            items = [_as_kind(v, float, name) for v in value]
+            return items if kind is list else tuple(items)
     elif kind in (str, dict):
         if isinstance(value, kind):
             return kind(value)
     elif (isinstance(value, numbers.Real) and not isinstance(value, bool)
           and -math.inf < value < math.inf and kind(value) == value):
         return kind(value)
-    what = (f"a list of {len(kind)} numbers" if isinstance(kind, tuple)
+    what = ("a list of numbers" if kind is list
+            else f"a list of {len(kind)} numbers" if isinstance(kind, tuple)
             else kind.__name__)
     raise ValueError(f"{name} must be {what}, got {value!r}")
 
@@ -122,29 +127,27 @@ class CurveSpec:
 class CurveApprox:
     """Polygonal approximation: ordered segments plus bookkeeping.
 
-    ``segments`` is an (n, 4) float64 array of rows [ax, ay, bx, by].  For
-    point-cloud families the rows are degenerate (a == b) and ``connected``
-    is False; such curves are rejected by the visibility module but accepted
-    by the measure estimators.
+    ``segments`` is an (n, 4) float64 array of rows [ax, ay, bx, by].
+    ``diam`` and ``is_point_cloud`` are derived from them once.  A point
+    cloud's rows are all degenerate (a == b); such curves are rejected by
+    the visibility module but accepted by the measure estimators.
     """
 
     segments: np.ndarray
-    level: int
     theoretical_dim: float | None
     min_seg_len: float
-    diam: float
     spec: CurveSpec
-    connected: bool = True
+    diam: float = field(init=False)
+    is_point_cloud: bool = field(init=False)
+
+    def __post_init__(self):
+        a, b = self.segments[:, 0:2], self.segments[:, 2:4]
+        self.diam = diameter(np.vstack([a, b]))
+        self.is_point_cloud = bool(np.all(a == b))
 
     @property
     def n_segments(self) -> int:
         return int(self.segments.shape[0])
-
-    @property
-    def is_point_cloud(self) -> bool:
-        return not self.connected and bool(
-            np.all(self.segments[:, 0:2] == self.segments[:, 2:4])
-        )
 
     def vertices(self) -> np.ndarray:
         """All segment endpoints, deduplicated for chains.
@@ -216,32 +219,21 @@ def _chain_to_segments(pts: np.ndarray, closed: bool) -> np.ndarray:
     return np.column_stack([pts, nxt])
 
 
-def _finish(segments: np.ndarray, level: int, theoretical_dim: float | None,
-            spec: CurveSpec, connected: bool = True,
-            min_seg_len: float | None = None) -> CurveApprox:
-    verts = np.vstack([segments[:, 0:2], segments[:, 2:4]])
+def _finish(segments: np.ndarray, theoretical_dim: float | None,
+            spec: CurveSpec, min_seg_len: float | None = None) -> CurveApprox:
     if min_seg_len is None:
         lengths = np.hypot(segments[:, 2] - segments[:, 0],
                            segments[:, 3] - segments[:, 1])
         min_seg_len = float(lengths.min())
-    return CurveApprox(
-        segments=segments,
-        level=level,
-        theoretical_dim=theoretical_dim,
-        min_seg_len=min_seg_len,
-        diam=diameter(verts),
-        spec=spec,
-        connected=connected,
-    )
+    return CurveApprox(segments, theoretical_dim, min_seg_len, spec)
 
 
-def from_segments(segments, kind: str = "soup", connected: bool = False) -> CurveApprox:
+def from_segments(segments) -> CurveApprox:
     """Wrap a raw (n, 4) segment array for tests and fixtures."""
     arr = np.asarray(segments, dtype=float).reshape(-1, 4)
     if arr.shape[0] == 0:
         raise ValueError("need at least one segment")
-    spec = CurveSpec(kind, None, 0, 0, {"connected": connected})
-    return _finish(arr, 0, None, spec, connected=connected)
+    return _finish(arr, None, CurveSpec("soup"))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +276,7 @@ def koch_generalized(target_dim: float, level: int) -> CurveApprox:
     xy = np.column_stack([pts.real, pts.imag])
     segs = _chain_to_segments(xy, closed=False)
     spec = CurveSpec("koch", target_dim, level, 0, {})
-    return _finish(segs, level, target_dim, spec)
+    return _finish(segs, target_dim, spec)
 
 
 def quasicircle(seed: int, roughness: float = QUASI_ROUGHNESS, level: int = 9,
@@ -336,7 +328,7 @@ def quasicircle(seed: int, roughness: float = QUASI_ROUGHNESS, level: int = 9,
     segs = _chain_to_segments(pts, closed=True)
     spec = CurveSpec("quasicircle", None, level, seed,
                      {"roughness": roughness, "amplitude": amplitude})
-    return _finish(segs, level, None, spec)
+    return _finish(segs, None, spec)
 
 
 def circle(center, radius: float, n: int) -> CurveApprox:
@@ -349,10 +341,9 @@ def circle(center, radius: float, n: int) -> CurveApprox:
     ang = 2.0 * math.pi * np.arange(n) / n
     pts = c + radius * np.column_stack([np.cos(ang), np.sin(ang)])
     segs = _chain_to_segments(pts, closed=True)
-    spec = CurveSpec("circle", 1.0, 0, 0,
-                     {"cx": float(c[0]), "cy": float(c[1]),
-                      "radius": float(radius), "n": n})
-    return _finish(segs, 0, 1.0, spec)
+    spec = CurveSpec("circle", params={"cx": float(c[0]), "cy": float(c[1]),
+                                       "radius": float(radius), "n": n})
+    return _finish(segs, 1.0, spec)
 
 
 def polyline(points) -> CurveApprox:
@@ -364,17 +355,17 @@ def polyline(points) -> CurveApprox:
     if np.any(steps <= 0.0):
         raise ValueError("consecutive polyline points must be distinct")
     segs = _chain_to_segments(pts, closed=False)
-    spec = CurveSpec("polyline", 1.0, 0, 0,
-                     {"points": [float(v) for v in pts.ravel()]})
-    return _finish(segs, 0, 1.0, spec)
+    spec = CurveSpec("polyline",
+                     params={"points": [float(v) for v in pts.ravel()]})
+    return _finish(segs, 1.0, spec)
 
 
 def cantor_cross(ratio: float, level: int) -> CurveApprox:
     """Product of two linear Cantor sets with the given contraction ratio.
 
-    Returned as 4**level degenerate segments (a point cloud) flagged
-    disconnected; the visibility module rejects it while the measure
-    estimators accept it.  Its dimension is 2 log 2 / log(1/ratio).
+    Returned as 4**level degenerate segments, a point cloud that the
+    visibility module rejects and the measure estimators accept.  Its
+    dimension is 2 log 2 / log(1/ratio).
     ``min_seg_len`` records the finest construction interval ratio**level,
     the natural feature size of the cloud.
     """
@@ -391,39 +382,59 @@ def cantor_cross(ratio: float, level: int) -> CurveApprox:
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     segs = np.column_stack([pts, pts])
     dim = 2.0 * math.log(2.0) / math.log(1.0 / ratio)
-    spec = CurveSpec("cantor_cross", dim, level, 0, {"ratio": ratio})
-    return _finish(segs, level, dim, spec, connected=False,
-                   min_seg_len=ratio**level)
+    spec = CurveSpec("cantor_cross", None, level, 0, {"ratio": ratio})
+    return _finish(segs, dim, spec, min_seg_len=ratio**level)
 
 
-_GENERATORS = {"koch", "quasicircle", "circle", "polyline", "cantor_cross"}
+# The one definition of each curve family: kind -> (builder, the CurveSpec
+# fields it reads, {param: (kind, default)}); a param whose default is None
+# is required.  generate() and `fracvis generate` read only this table.
+FAMILIES = {
+    "koch": (koch_generalized, ("target_dim", "level"), {}),
+    "quasicircle": (quasicircle, ("level", "seed"),
+                    {"roughness": (float, QUASI_ROUGHNESS),
+                     "amplitude": (float, QUASI_AMPLITUDE)}),
+    "circle": (lambda cx, cy, **kw: circle((cx, cy), **kw), (),
+               {"cx": (float, 0.0), "cy": (float, 0.0), "radius": (float, 1.0),
+                "n": (int, 4096)}),
+    "polyline": (polyline, (), {"points": (list, None)}),
+    "cantor_cross": (cantor_cross, ("level",), {"ratio": (float, 1.0 / 3.0)}),
+}
 
 
 def generate(spec: CurveSpec) -> CurveApprox:
-    """Materialise a curve from its spec."""
-    if spec.kind == "koch":
-        if spec.target_dim is None:
-            raise ValueError("koch requires target_dim")
-        return koch_generalized(spec.target_dim, spec.level)
-    if spec.kind == "quasicircle":
-        return quasicircle(
-            spec.seed,
-            float(spec.params.get("roughness", QUASI_ROUGHNESS)),
-            spec.level,
-            float(spec.params.get("amplitude", QUASI_AMPLITUDE)),
-        )
-    if spec.kind == "circle":
-        return circle(
-            (float(spec.params.get("cx", 0.0)), float(spec.params.get("cy", 0.0))),
-            float(spec.params.get("radius", 1.0)),
-            int(spec.params.get("n", 4096)),
-        )
-    if spec.kind == "polyline":
-        pts = np.asarray(spec.params["points"], dtype=float).reshape(-1, 2)
-        return polyline(pts)
-    if spec.kind == "cantor_cross":
-        return cantor_cross(float(spec.params.get("ratio", 1.0 / 3.0)), spec.level)
-    raise ValueError(f"unknown curve kind {spec.kind!r}; choose from {sorted(_GENERATORS)}")
+    """Materialise a curve from its spec, as its :data:`FAMILIES` entry says.
+
+    Raises ValueError naming the key for an unknown kind or param, a param
+    of the wrong kind, a missing required param or field, and a field the
+    family does not read set away from its CurveSpec default; so a spec
+    names exactly one curve.
+    """
+    if spec.kind not in FAMILIES:
+        raise ValueError(f"unknown curve kind {spec.kind!r}; "
+                         f"choose from {sorted(FAMILIES)}")
+    build, reads, params = FAMILIES[spec.kind]
+    unknown = sorted(set(spec.params) - set(params))
+    if unknown:
+        raise ValueError(f"{spec.kind} has unknown param {unknown[0]!r}")
+    args, blank = {}, CurveSpec(spec.kind)
+    for name in ("target_dim", "level", "seed"):
+        value = getattr(spec, name)
+        if name not in reads:
+            if value != getattr(blank, name):
+                raise ValueError(f"{spec.kind} does not read {name!r}")
+        elif value is None:
+            raise ValueError(f"{spec.kind} lacks required field {name!r}")
+        else:
+            args[name] = value
+    for name, (kind, default) in params.items():
+        if name in spec.params:
+            args[name] = _as_kind(spec.params[name], kind, name)
+        elif default is None:
+            raise ValueError(f"{spec.kind} lacks required param {name!r}")
+        else:
+            args[name] = default
+    return build(**args)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +520,7 @@ def curve_to_json(curve: CurveApprox) -> str:
     spec_json = (
         "{"
         f"\"kind\":{json.dumps(spec.kind)},"
-        f"\"target_dim\":{_fnum(spec.target_dim) if spec.target_dim is not None else 'null'},"
+        f"\"target_dim\":{_fnum(spec.target_dim)},"
         f"\"level\":{spec.level},"
         f"\"seed\":{spec.seed},"
         f"\"params\":{{{params_items}}}"
@@ -521,11 +532,10 @@ def curve_to_json(curve: CurveApprox) -> str:
     # One %-format over every coordinate; "%.17g" matches _fnum's format().
     rows = ",".join(["[%.17g,%.17g,%.17g,%.17g]"] * segs.shape[0]) % tuple(
         segs.ravel().tolist())
-    theo = _fnum(curve.theoretical_dim) if curve.theoretical_dim is not None else "null"
     return (
         "{"
         f"\"spec\":{spec_json},"
-        f"\"theoretical_dim\":{theo},"
+        f"\"theoretical_dim\":{_fnum(curve.theoretical_dim)},"
         f"\"min_seg_len\":{_fnum(curve.min_seg_len)},"
         f"\"segments\":[{rows}]"
         "}"
@@ -540,24 +550,16 @@ def write_curve(curve: CurveApprox, path) -> None:
 
 def curve_from_json(text: str) -> CurveApprox:
     # curve_to_json writes -0.0 as "-0", which json reads as the integer 0.
-    doc = json.loads(text, parse_int=lambda v: -0.0 if v == "-0" else int(v))
-    spec = CurveSpec.from_dict(doc["spec"])
+    doc = check_keys(CurveApprox, json.loads(
+        text, parse_int=lambda v: -0.0 if v == "-0" else int(v)))
     segs = np.asarray(doc["segments"], dtype=float).reshape(-1, 4)
     if not np.all(np.isfinite(segs)):
         raise ValueError("cannot read non-finite number")
-    theo = doc.get("theoretical_dim")
-    if spec.kind == "cantor_cross":
-        connected = False
-    else:
-        connected = bool(spec.params.get("connected", True))
-    return _finish(
-        segs,
-        spec.level,
-        None if theo is None else float(theo),
-        spec,
-        connected=connected,
-        min_seg_len=float(doc["min_seg_len"]),
-    )
+    theo = doc["theoretical_dim"]
+    if theo is not None:
+        theo = _as_kind(theo, float, "theoretical_dim")
+    return _finish(segs, theo, CurveSpec.from_dict(doc["spec"]),
+                   _as_kind(doc["min_seg_len"], float, "min_seg_len"))
 
 
 def read_curve(path) -> CurveApprox:

@@ -424,6 +424,8 @@ class BoundReport:
     def from_dict(cls, d: dict) -> "BoundReport":
         d = check_keys(cls, d)
         dh = d["d_hat"]
+        if not isinstance(dh, dict) or "value" not in dh:
+            raise ValueError(f"d_hat must be an object with a value, got {dh!r}")
         d_hat = DimEstimate.from_dict(dh) if "n_scales" in dh else float(dh["value"])
         return cls(
             experiment_id=d["experiment_id"],

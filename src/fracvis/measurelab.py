@@ -83,13 +83,12 @@ class DimEstimate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DimEstimate":
-        return cls(
-            value=float(d["value"]),
-            stderr=float(d["stderr"]),
-            scale_window=(float(d["scale_min"]), float(d["scale_max"])),
-            n_scales=int(d["n_scales"]),
-            r_squared=float(d["r_squared"]),
-        )
+        try:
+            return cls(float(d["value"]), float(d["stderr"]),
+                       (float(d["scale_min"]), float(d["scale_max"])),
+                       int(d["n_scales"]), float(d["r_squared"]))
+        except KeyError as exc:
+            raise ValueError(f"DimEstimate lacks required field {exc}") from None
 
 
 def fit_loglog(x, y) -> tuple[float, float, float, float]:

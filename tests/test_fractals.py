@@ -1,6 +1,7 @@
 """Curve generators, discrete measures, and the curve file format."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -179,7 +180,6 @@ def test_cantor_cross_level1():
     want = np.array(sorted([(0.0, 0.0), (0.0, 2 / 3), (2 / 3, 0.0), (2 / 3, 2 / 3)]))
     np.testing.assert_allclose(got, want, atol=1e-12)
     assert cc.is_point_cloud
-    assert not cc.connected
 
 
 def test_cantor_cross_theoretical_dim():
@@ -251,6 +251,67 @@ def test_quasicircle_spec_without_roughness_matches_constructor_default():
     )
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: koch_generalized(1.5, 4),
+        lambda: quasicircle(3, 0.6, 6),
+        lambda: circle((1.0, -2.0), 2.5, 100),
+        lambda: polyline([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]),
+        lambda: cantor_cross(0.25, 3),
+    ],
+    ids=["koch", "quasicircle", "circle", "polyline", "cantor_cross"],
+)
+def test_generate_reproduces_each_builders_curve_from_its_spec(make):
+    curve = make()
+    again = generate(curve.spec)
+    assert again.segments.tobytes() == curve.segments.tobytes()
+    assert again.spec == curve.spec
+    assert again.theoretical_dim == curve.theoretical_dim
+    assert again.min_seg_len == curve.min_seg_len
+    assert again.diam == curve.diam
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        (CurveSpec("quasicircle", None, 5, 1, {"roughnes": 0.1}), "roughnes"),
+        (CurveSpec("circle", params={"n": 100.7}), "n must be int"),
+        (CurveSpec("circle", params={"n": 2.5}), "n must be int"),
+        (CurveSpec("circle", params={"radius": "1"}), "radius must be float"),
+        (CurveSpec("koch", 1.5, 4, 7), "seed"),
+        (CurveSpec("koch", 1.5, 4, 0, {"foo": 1}), "foo"),
+        (CurveSpec("koch", None, 4), "target_dim"),
+        (CurveSpec("quasicircle", 1.9, 5, 1), "target_dim"),
+        (CurveSpec("circle", None, 3), "level"),
+        (CurveSpec("polyline"), "points"),
+        (CurveSpec("polyline", params={"points": [[0, 0], [1, 1]]}), "points must be"),
+        (CurveSpec("spiral"), "spiral"),
+    ],
+    ids=["misspelt-param", "fractional-n", "fractional-n-below-3", "string-radius",
+         "koch-seed", "koch-unknown-param", "koch-without-target_dim",
+         "quasicircle-target_dim", "circle-level", "polyline-without-points",
+         "nested-points", "unknown-kind"],
+)
+def test_generate_refuses_what_its_family_does_not_read(spec, key):
+    with pytest.raises(ValueError, match=key):
+        generate(spec)
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (lambda: koch_generalized(1.5, 4),
+         "9b0e77765e646030c8c95aac0ea7b11a913c7fa4dbed5fc01af831d272709573"),
+        (lambda: quasicircle(3, 0.6, 6),
+         "b3dcb575199eb2c4d1f5ea0054316c0a2bef69adbe8f06be854fd34bcf9e0341"),
+    ],
+    ids=["koch", "quasicircle"],
+)
+def test_benchmark_curve_file_bytes_are_pinned(make, digest):
+    assert hashlib.sha256(curve_to_json(make()).encode()).hexdigest() == digest
+
+
 def test_curve_json_round_trip(tmp_path, koch5):
     path = tmp_path / "curve.json"
     write_curve(koch5, path)
@@ -259,7 +320,7 @@ def test_curve_json_round_trip(tmp_path, koch5):
     assert back.theoretical_dim == pytest.approx(koch5.theoretical_dim)
     assert back.min_seg_len == pytest.approx(koch5.min_seg_len)
     assert back.spec.to_dict() == koch5.spec.to_dict()
-    assert back.connected
+    assert not back.is_point_cloud
 
 
 def test_curve_json_has_exactly_documented_keys(circle_1024):
@@ -327,9 +388,9 @@ def test_curve_json_reader_rejects_non_finite_coordinates(bad):
 
 def test_from_segments_soup():
     segs = np.array([[0.0, 0.0, 1.0, 0.0], [3.0, 0.0, 4.0, 0.0]])
-    soup = from_segments(segs, kind="soup", connected=False)
+    soup = from_segments(segs)
     assert soup.n_segments == 2
-    assert not soup.connected
+    assert not soup.is_point_cloud
 
 
 def test_vertices_keep_tiny_disjoint_segments():

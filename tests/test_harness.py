@@ -486,9 +486,10 @@ def test_cli_dim_refuses_cells_that_cannot_be_exact(tmp_path, capsys):
          CurveSpec("polyline", None, 0, 0, {"points": [0, 0, 1, 0, 1, 1]})),
         (["--kind", "cantor_cross", "--ratio", "0.25", "--level", "3"],
          CurveSpec("cantor_cross", None, 3, 0, {"ratio": 0.25})),
+        (["--kind", "circle"], CurveSpec("circle", params={"n": 4096})),
     ],
     ids=["koch", "quasicircle", "quasicircle-roughness", "circle", "polyline",
-         "cantor_cross"],
+         "cantor_cross", "circle-defaults"],
 )
 def test_cli_generate_writes_the_spec_curve(tmp_path, argv, spec):
     path = tmp_path / "curve.json"
@@ -498,6 +499,46 @@ def test_cli_generate_writes_the_spec_curve(tmp_path, argv, spec):
     assert path.read_text(encoding="utf-8") == curve_to_json(generate(spec)) + "\n"
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["--kind", "koch", "--target-dim", "1.5", "--roughness", "0.3"],
+         "roughness"),
+        (["--kind", "koch"], "target_dim"),
+        (["--kind", "quasicircle", "--target-dim", "1.5"], "target_dim"),
+        (["--kind", "circle", "--ratio", "0.25"], "ratio"),
+        (["--kind", "polyline"], "points"),
+    ],
+    ids=["koch-roughness", "koch-without-target-dim", "quasicircle-target-dim",
+         "circle-ratio", "polyline-without-points"],
+)
+def test_cli_generate_refuses_missing_or_ignored_flags(tmp_path, capsys, argv,
+                                                       key):
+    path = tmp_path / "curve.json"
+    assert cli.main(["--out", str(path), "generate", *argv]) == 1
+    assert key in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda doc: {}, "segments"),
+        (lambda doc: _without(doc, "min_seg_len"), "min_seg_len"),
+        (lambda doc: [doc], "JSON object"),
+        (lambda doc: {**doc, "theoretical_dim": [1.0]}, "theoretical_dim"),
+    ],
+    ids=["empty-object", "no-min_seg_len", "top-level-list",
+         "theoretical_dim-list"],
+)
+def test_cli_refuses_malformed_curve_files(tmp_path, capsys, edit, key):
+    path = tmp_path / "curve.json"
+    doc = json.loads(curve_to_json(polyline([(0, 0), (1, 0), (2, 1)])))
+    path.write_text(json.dumps(edit(doc)))
+    assert cli.main(["dim", "--curve", str(path)]) == 1
+    assert key in capsys.readouterr().err
+
+
 def test_cli_generate_rejects_odd_polyline_points(tmp_path, capsys):
     path = tmp_path / "curve.json"
     rc = cli.main(["--out", str(path), "generate", "--kind", "polyline",
@@ -505,6 +546,10 @@ def test_cli_generate_rejects_odd_polyline_points(tmp_path, capsys):
     assert rc == 1
     assert "--points" in capsys.readouterr().err
     assert not path.exists()
+
+
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
 
 
 _GOOD_CONFIG = {"curve": {"kind": "koch", "target_dim": 1.5, "level": 6},
@@ -525,12 +570,21 @@ _GOOD_CONFIG = {"curve": {"kind": "koch", "target_dim": 1.5, "level": 6},
         ("sweep", {**_GOOD_CONFIG, "estimator": {"scale_policy": "fixed",
                                                  "scale_window": [0.01]}},
          "scale_window"),
-        ("render", "no f_bound", "f_bound"),
-        ("render", "list", "JSON object"),
+        ("sweep", {**_GOOD_CONFIG, "curve": {"kind": "polyline"}}, "points"),
+        ("sweep", {**_GOOD_CONFIG, "curve": {"kind": "quasicircle", "level": 5,
+                                             "params": {"roughnes": 0.1}}},
+         "roughnes"),
+        ("render", lambda rep: _without(rep, "f_bound"), "f_bound"),
+        ("render", lambda rep: [rep], "JSON object"),
+        ("render", lambda rep: {**rep, "d_hat": 1.5}, "d_hat"),
+        ("render", lambda rep: {**rep, "d_hat": "x"}, "d_hat"),
+        ("render", lambda rep: {**rep, "d_hat": _without(rep["d_hat"], "stderr")},
+         "stderr"),
     ],
     ids=["no-curve", "viewpoints-string", "top-level-list", "one-radius",
          "three-radii", "fractional-count", "misspelt-key", "one-scale",
-         "report-without-f_bound", "report-list"],
+         "polyline-without-points", "misspelt-param", "report-without-f_bound",
+         "report-list", "d_hat-number", "d_hat-string", "d_hat-without-stderr"],
 )
 def test_cli_refuses_malformed_configs_and_reports(sweep_out, tmp_path, capsys,
                                                    command, doc, field):
@@ -540,9 +594,7 @@ def test_cli_refuses_malformed_configs_and_reports(sweep_out, tmp_path, capsys,
         path.write_text(json.dumps(doc))
         argv = ["--config", str(path), "--out", str(tmp_path / "run"), "sweep"]
     else:
-        rep = report.to_dict()
-        del rep["f_bound"]
-        path.write_text(json.dumps(rep if doc == "no f_bound" else [rep]))
+        path.write_text(json.dumps(doc(report.to_dict())))
         curve_path = tmp_path / "curve.json"
         write_curve(generate(tiny_config(out).curve), curve_path)
         argv = ["--out", str(tmp_path / "svg"), "render", "--results",

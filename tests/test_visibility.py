@@ -109,9 +109,7 @@ def test_visible_set_monotone_under_occlusion():
     # adding a blocking wall in front can only shrink what is seen
     base = circle((0.0, 0.0), 1.0, 512)
     wall = np.array([[1.5, -0.6, 1.5, 0.6]])
-    blocked = from_segments(
-        np.vstack([base.segments, wall]), kind="soup", connected=False
-    )
+    blocked = from_segments(np.vstack([base.segments, wall]))
     x = (3.0, 0.0)
     vs_free = visible_set(base, x)
     arr = visible_set(blocked, x).segments
