@@ -348,9 +348,10 @@ def circle(center, radius: float, n: int) -> CurveApprox:
 
 def polyline(points) -> CurveApprox:
     """Open chain through the given points (consecutive points distinct)."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if pts.shape[0] < 2:
-        raise ValueError("polyline needs at least two points")
+    pts = np.asarray(points, dtype=float)
+    if pts.size % 2 or pts.size < 4:
+        raise ValueError(f"polyline points must be two or more x, y pairs, got {pts.size} numbers")
+    pts = pts.reshape(-1, 2)
     steps = np.hypot(*(np.diff(pts, axis=0).T))
     if np.any(steps <= 0.0):
         raise ValueError("consecutive polyline points must be distinct")
@@ -552,13 +553,18 @@ def curve_from_json(text: str) -> CurveApprox:
     # curve_to_json writes -0.0 as "-0", which json reads as the integer 0.
     doc = check_keys(CurveApprox, json.loads(
         text, parse_int=lambda v: -0.0 if v == "-0" else int(v)))
-    segs = np.asarray(doc["segments"], dtype=float).reshape(-1, 4)
+    try:  # ragged rows raise here
+        segs = np.asarray(doc["segments"])
+    except ValueError:
+        segs = np.empty(0)
+    if segs.dtype.kind not in "iuf" or segs.shape[1:] != (4,):
+        raise ValueError("segments must be a list of [x0, y0, x1, y1] rows of numbers")
     if not np.all(np.isfinite(segs)):
         raise ValueError("cannot read non-finite number")
     theo = doc["theoretical_dim"]
     if theo is not None:
         theo = _as_kind(theo, float, "theoretical_dim")
-    return _finish(segs, theo, CurveSpec.from_dict(doc["spec"]),
+    return _finish(segs.astype(float, copy=False), theo, CurveSpec.from_dict(doc["spec"]),
                    _as_kind(doc["min_seg_len"], float, "min_seg_len"))
 
 

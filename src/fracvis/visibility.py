@@ -16,17 +16,16 @@ where a ray meets two segments at the same distance (shared endpoints)
 resolve to the lower segment index everywhere, which keeps every output
 byte-reproducible, and the result does not depend on candidate order.
 
-That independence allows front-to-back culling, after the hierarchical
-z-buffer of Greene, Kass and Miller (SIGGRAPH 1993).  The segments are
-taken nearest first, by a lower bound on their distance from x, and a
-segment whose bound lies beyond the current first hit of every probe it
-spans can neither win nor tie, so its (probe, segment) candidates are
-never expanded.  On a Koch curve of 65k segments about a fifth of the
-candidates get expanded, at 1M segments about a twentieth.
-Candidates are expanded (by ``geom._ragged_ranges``) in batches of at most
-``geom._CHUNK`` pairs plus one span's, and crossing search takes its pairs
-from ``geom._window_pairs`` in blocks of ``geom._CHUNK``, so memory stays
-bounded as curves get finer.
+That independence allows culling, after the hierarchical z-buffer of
+Greene, Kass and Miller (SIGGRAPH 1993): each probe's first hit is seeded
+with the least upper bound on the distance of the segments spanning it, a
+far plane, and a segment whose lower bound lies beyond that seed on every
+probe it spans can neither win nor tie, so its (probe, segment) candidates
+are never expanded.  About 1 in 22 candidates get expanded on a Koch curve
+of 65k segments, 1 in 60 at 1M.  Candidates are expanded (by
+``geom._ragged_ranges``) in blocks of at most ``geom._CHUNK`` pairs or one
+span's, and crossing search takes its pairs from ``geom._window_pairs`` in
+blocks of ``geom._CHUNK``, so memory stays bounded as curves get finer.
 
 ``visible_oracle`` is the independent brute-force check: it casts the
 chord to a curve point against every segment in one
@@ -218,7 +217,7 @@ class SegmentIndex:
 
 
 def _spans(pa, pb, probes, base):
-    """Each segment's probes: the ranges [starts, stops) with segment ids q_id.
+    """Each segment's probes: the nonempty ranges [starts, stops), segment ids q_id.
 
     A segment's span runs from its endpoint angles pa, pb the short way
     round.  Spans are mapped into the frame starting at base, the first
@@ -236,19 +235,20 @@ def _spans(pa, pb, probes, base):
     q_hi = np.concatenate([hi_f, hi_f[wrap] - TWO_PI])
     q_id = np.concatenate([seg_ids, seg_ids[wrap]])
     starts = np.searchsorted(probes, q_lo, side="right")
-    stops = np.maximum(np.searchsorted(probes, q_hi, side="left"), starts)
-    return starts, stops, q_id
+    stops = np.searchsorted(probes, q_hi, side="left")
+    live = stops > starts
+    return starts[live], stops[live], q_id[live]
 
 
-def _cull_bound(segs, o, dmin, lengths, num) -> np.ndarray:
-    """lb[s] <= every hit distance t that the sweep computes for segment s.
+def _cull_bound(segs, o, dmin, lengths, num) -> tuple[np.ndarray, np.ndarray]:
+    """(lb, ub) with lb[s] <= every hit distance t the sweep computes for s <= ub[s].
 
-    Exactly, a ray inside the angular span of s meets s at distance at
-    least dmin[s].  Rounding moves the computed t by a relative error that
-    scales with kappa = far / line, where far is the farther endpoint's
-    distance from o and line the distance from o to the line of s (so t
-    lies in [dmin, far], and t / line bounds the conditioning of both num
-    and the denominator).  With eps the machine epsilon:
+    Exactly, a ray inside the angular span of s meets s at a distance in
+    [dmin[s], far], far the farther endpoint's distance from o.  Rounding
+    moves the computed t by a relative error that scales with kappa =
+    far / line, line the distance from o to the line of s (t / line bounds
+    the conditioning of num and the denominator).  With eps the machine
+    epsilon:
 
     * num = (a - o) x e: its products sum to at most sqrt(2) |a - o| |e|
       <= sqrt(2) kappa |num| in size, so it is off by <= 2.2 kappa eps
@@ -259,25 +259,32 @@ def _cull_bound(segs, o, dmin, lengths, num) -> np.ndarray:
       endpoint and probe: about a dozen roundings (arctan2, the reductions
       by TWO_PI, the span width, the frame shift, the wrap split and the
       probe midpoint), each at most half an ulp of 4 pi (4 eps), plus
-      TWO_PI's own error, sum to delta < 50 eps.  Past the span the ray
-      meets the line at a distance of at least dmin (1 - kappa delta).
+      TWO_PI's own error, sum to delta < 50 eps.  Turning the ray by delta
+      scales its distance to the line by [1 - kappa delta, 1 / (1 - kappa
+      delta)], as the tangent of its angle to the line's normal is <= kappa.
     * point_segments_dist forms the nearest point in absolute coordinates,
       so dmin itself may be high by <= 5 kappa eps dmin + 2 eps |o|_inf.
+    * far is the hypot of the differences a - o, b - o behind the span, off
+      by <= 2 eps; the line through a - o along e misses b - o by <= eps far,
+      which moves a hit near b by <= eps far t / line <= eps kappa far.
 
-    These add up to under 63 kappa eps dmin + 2 eps |o|_inf; c = _CULL_C
-    = 128 doubles that for second-order terms, and
-    lb = dmin (1 - c eps kappa) - c eps |o|_inf.  Segments seen end-on,
-    where c eps kappa >= 1 (kappa is inf on exactly collinear ones), get
-    lb <= 0 below every hit, so they are never culled.
+    lb: the terms add up to under 63 kappa eps dmin + 2 eps |o|_inf; c =
+    _CULL_C = 128 doubles that for second-order terms: with x = c eps kappa,
+    lb = dmin (1 - x) - c eps |o|_inf.  Segments seen end-on, where x >= 1
+    (kappa is inf on exactly collinear ones), get lb <= 0, never culled.
+    ub: t <= far (1 + 2 eps)(1 + x / 128)(1 + x / 16) / (1 - 50 x / 128),
+    convex in x and below 1 + x at x = c eps (kappa >= 1) and at x = 1,
+    so ub = far (1 + x); no |o|_inf term, as far and t both come from a - o.
+    ub = inf where x >= 1, or where lb <= EPS_GEOM (t may count as a miss).
     """
     # kappa = far * |e| / |num|, as |num| / |e| is the distance to the line.
-    kappa = np.maximum(np.hypot(segs[:, 0] - o[0], segs[:, 1] - o[1]),
-                       np.hypot(segs[:, 2] - o[0], segs[:, 3] - o[1]))
-    kappa *= lengths
-    with np.errstate(divide="ignore"):
-        kappa /= np.abs(num)
+    far = np.maximum(np.hypot(segs[:, 0] - o[0], segs[:, 1] - o[1]),
+                     np.hypot(segs[:, 2] - o[0], segs[:, 3] - o[1]))
     c_eps = _CULL_C * np.finfo(float).eps
-    return dmin * (1.0 - c_eps * kappa) - c_eps * float(np.abs(o).max())
+    with np.errstate(divide="ignore"):
+        x = c_eps * (far * lengths / np.abs(num))
+    lb = dmin * (1.0 - x) - c_eps * float(np.abs(o).max())
+    return lb, np.where((x < 1.0) & (lb > EPS_GEOM), far * (1.0 + x), np.inf)
 
 
 def _range_max_table(values: np.ndarray) -> np.ndarray:
@@ -296,65 +303,59 @@ def _range_max(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.maximum(table[j, lo], table[j, hi + 1 - (1 << j)])
 
 
-def _first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num, lb) -> np.ndarray:
+def _range_min_paint(m: int, lo, hi, values) -> np.ndarray:
+    """out[k] = min(values[i] for lo[i] <= k <= hi[i]), inf where no range covers k.
+
+    The reverse of _range_max_table.  A range of length L paints its value
+    on the two blocks of 2**j slots, j = floor(log2 L), that start at lo and
+    end at hi; then, from the largest blocks down, each block hands its
+    value on to its two halves.  Only two rows of m values are held.
+    """
+    j = np.frexp(hi - lo + 1)[1] - 1
+    row = np.full(m, np.inf)
+    below = np.empty(m)
+    for level in range(int(j.max(initial=-1)), -1, -1):
+        w = 1 << level
+        # row holds the blocks of 2w slots; the one at i covers i and i + w.
+        np.copyto(below, row)
+        np.minimum(below[w:], row[:-w], out=below[w:])
+        sel = j == level
+        np.minimum.at(below, lo[sel], values[sel])
+        np.minimum.at(below, hi[sel] + 1 - w, values[sel])
+        row, below = below, row
+    return row
+
+
+def _first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num, lb, ub) -> np.ndarray:
     """Segment first hit by each probe ray, or -1 where the ray misses.
 
-    Probe k's candidates are the spans i with starts[i] <= k < stops[i],
+    Probe k's candidates are the nonempty spans i with starts[i] <= k < stops[i],
     each naming segment q_id[i]; a ray at (cos_p[k], sin_p[k]) meets the
     line of segment s at t = num[s] / (cos_p[k] ey[s] - sin_p[k] ex[s]).
     The winner is a min-reduction: least t, then the lowest segment index
     among candidates at exactly that t.  Misses (t = inf) never win.
 
-    lb[s] lies below every t that segment s's candidates evaluate to (see
-    ``_cull_bound``).  The spans are expanded front to back, in stable
-    order of lb, in batches whose candidate budgets start at geom._CHUNK / 16
-    and double up to geom._CHUNK, so the budgets bound the memory (a span
-    with more candidates than the room left in a batch joins it whole).
-    After the first batch, a span is checked when its turn comes and
-    dropped if its lb exceeds the largest best_t over its probes: its t
-    then lie strictly above every final best_t it could reach, so it holds
-    neither a winner nor a tie.  The reduction does not depend on the
-    order of candidates, so the result is the one every candidate would
-    give.  The largest best_t comes from the maxima over tiles of _TILE
-    probes; a span's tiles cover a superset of its probes, so this only
-    loosens the bound.  A tile's maximum is recomputed only when one of
-    its best_t fell in the batch just run.
+    lb[s] <= every t of segment s <= ub[s] (``_cull_bound``).  Each probe's
+    best_t is seeded with the least ub over its spans (``_range_min_paint``),
+    and a span whose lb exceeds the largest seed over its probes (taken
+    over tiles of _TILE probes, a superset) is dropped: its t lie above
+    every first hit it reaches, so it holds neither a winner nor a tie.
+    The rest are expanded once, in blocks of at most geom._CHUNK candidates
+    or one span's; the reduction does not depend on their order.  A probe
+    with a finite seed that no candidate reached has a hit beyond its
+    bound, and raises ValueError rather than return a wrong winner.
     """
     m = cos_p.size
     n = ex.size
-    n_tiles = -(-m // _TILE)
-    # Padding probes read -inf, so they never raise a tile's maximum.
-    best_t = np.full(n_tiles * _TILE, np.inf)
-    best_t[m:] = -np.inf
-    best_seg = np.full(m, n, dtype=np.int64)
-    tile_max = np.full(n_tiles, np.inf)
+    best_t = _range_min_paint(m, starts, stops - 1, ub[q_id])
+    tiles = _range_max_table(np.maximum.reduceat(best_t, np.arange(0, m, _TILE)))
+    keep = lb[q_id] <= _range_max(tiles, starts // _TILE, (stops - 1) // _TILE)
+    starts, stops, q_id = starts[keep], stops[keep], q_id[keep]
     counts = stops - starts
-    order = np.argsort(lb[q_id], kind="stable")
-    order = order[counts[order] > 0]
-    cum = np.concatenate([[0], np.cumsum(counts[order])])
-    pos = 0
-    budget = max(geom._CHUNK >> 4, 1)
-    table = None
-    while pos < order.size:
-        # Fill the batch from the next spans in lb order, dropping those
-        # that cannot win, until it holds at least half its budget.
-        parts = []
-        room = budget
-        while room > budget // 2 and pos < order.size:
-            end = max(int(np.searchsorted(cum, cum[pos] + room, side="right")) - 1,
-                      pos + 1)
-            span = order[pos:end]
-            pos = end
-            if table is not None:
-                reach = _range_max(table, starts[span] // _TILE,
-                                   (stops[span] - 1) // _TILE)
-                span = span[lb[q_id[span]] <= reach]
-            parts.append(span)
-            room -= int(counts[span].sum())
-        batch = np.concatenate(parts)
-        budget = min(2 * budget, geom._CHUNK)
-        cand_k = _ragged_ranges(starts[batch], stops[batch])
-        cand_seg = np.repeat(q_id[batch], counts[batch])
+    best_seg = np.full(m, n, dtype=np.int64)
+    for i0, i1 in geom._blocks(counts):
+        cand_k = _ragged_ranges(starts[i0:i1], stops[i0:i1])
+        cand_seg = np.repeat(q_id[i0:i1], counts[i0:i1])
         # A probe strictly inside a span always meets its segment, so no
         # extent check is needed here.  A zero denominator gives +-inf or
         # nan, which the t > EPS_GEOM test turns into a miss like t <= 0.
@@ -367,18 +368,15 @@ def _first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num, lb) -> np.ndarra
         before = best_t[cand_k]
         np.minimum.at(best_t, cand_k, t)
         after = best_t[cand_k]
-        # Where best_t fell, no segment of an earlier batch ties it.
-        fell = cand_k[after < before]
-        best_seg[fell] = n
-        # Ties at t = inf only touch uncovered probes, whose best_seg is unused.
+        # Where best_t fell, no segment of an earlier block ties it.
+        best_seg[cand_k[after < before]] = n
+        # Ties at t = inf only touch probes no ray hits, whose best_seg is unused.
         tie = t == after
         np.minimum.at(best_seg, cand_k[tie], cand_seg[tie])
-        dirty = np.zeros(n_tiles, dtype=bool)
-        dirty[fell // _TILE] = True
-        tiles = np.flatnonzero(dirty)
-        tile_max[tiles] = best_t.reshape(n_tiles, _TILE)[tiles].max(axis=1)
-        table = _range_max_table(tile_max)
-    return np.where(np.isfinite(best_t[:m]), best_seg, -1)
+    hit = np.isfinite(best_t)
+    if np.any(hit & (best_seg == n)):
+        raise ValueError("a first hit lies beyond its cull bound")
+    return np.where(hit, best_seg, -1)
 
 
 def visible_set(curve: CurveApprox, x,
@@ -394,12 +392,12 @@ def visible_set(curve: CurveApprox, x,
     saves recomputing the crossings.  An index built from a curve with a
     different segment count raises ValueError.
 
-    The probes' first hits are found front to back: segments are taken in
-    order of a lower bound on their distance from x (``_cull_bound``, their
-    distance less a rounding margin), and one whose bound exceeds the
-    current first hit on all of its probes is skipped (``_first_hits``).
-    A skipped segment can neither win nor tie, and the winner rule does not
-    depend on order, so the output is the same as without culling.
+    Each probe's first hit is bounded by the farthest distance of a
+    segment spanning it, and a segment whose nearest distance exceeds that
+    on all of its probes is skipped (``_cull_bound`` adds the rounding
+    margins, ``_first_hits`` culls).  A skipped segment can neither win nor
+    tie, so the output is the same as without culling; a first hit beyond
+    its bound raises ValueError rather than return a wrong set.
     """
     o = _xy(x)
     segs = curve.segments
@@ -417,15 +415,9 @@ def visible_set(curve: CurveApprox, x,
     pa = np.mod(np.arctan2(segs[:, 1] - o[1], segs[:, 0] - o[0]), TWO_PI)
     pb = np.mod(np.arctan2(segs[:, 3] - o[1], segs[:, 2] - o[0]), TWO_PI)
 
-    if index is not None:
-        crossings = index.crossings()
-    else:
-        crossings = find_segment_crossings(curve)
-    ev = [pa, pb]
-    if crossings.shape[0]:
-        ev.append(np.mod(np.arctan2(crossings[:, 1] - o[1], crossings[:, 0] - o[0]),
-                         TWO_PI))
-    events = np.unique(np.concatenate(ev))
+    crossings = find_segment_crossings(curve) if index is None else index.crossings()
+    pc = np.mod(np.arctan2(crossings[:, 1] - o[1], crossings[:, 0] - o[0]), TWO_PI)
+    events = np.unique(np.concatenate([pa, pb, pc]))
     m = events.size
     vp = Viewpoint(float(o[0]), float(o[1]), float(dmin.min()))
     if m < 2:
@@ -441,10 +433,10 @@ def visible_set(curve: CurveApprox, x,
     cos_p = np.cos(ang)
     sin_p = np.sin(ang)
     num = (segs[:, 0] - o[0]) * ey - (segs[:, 1] - o[1]) * ex
-    lb = _cull_bound(segs, o, dmin, lengths, num)
+    lb, ub = _cull_bound(segs, o, dmin, lengths, num)
     # Each probe's winner: least t, then lowest segment index at that t,
-    # found front to back with the spans that cannot win culled.
-    winner = _first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num, lb)
+    # with the spans that cannot win culled.
+    winner = _first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num, lb, ub)
     covered = winner >= 0
 
     angular_coverage = float(np.sum(widths[covered]))

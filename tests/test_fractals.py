@@ -286,12 +286,13 @@ def test_generate_reproduces_each_builders_curve_from_its_spec(make):
         (CurveSpec("circle", None, 3), "level"),
         (CurveSpec("polyline"), "points"),
         (CurveSpec("polyline", params={"points": [[0, 0], [1, 1]]}), "points must be"),
+        (CurveSpec("polyline", params={"points": [0, 0, 1]}), "points must be two or more"),
         (CurveSpec("spiral"), "spiral"),
     ],
     ids=["misspelt-param", "fractional-n", "fractional-n-below-3", "string-radius",
          "koch-seed", "koch-unknown-param", "koch-without-target_dim",
          "quasicircle-target_dim", "circle-level", "polyline-without-points",
-         "nested-points", "unknown-kind"],
+         "nested-points", "odd-points", "unknown-kind"],
 )
 def test_generate_refuses_what_its_family_does_not_read(spec, key):
     with pytest.raises(ValueError, match=key):

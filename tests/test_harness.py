@@ -527,9 +527,16 @@ def test_cli_generate_refuses_missing_or_ignored_flags(tmp_path, capsys, argv,
         (lambda doc: _without(doc, "min_seg_len"), "min_seg_len"),
         (lambda doc: [doc], "JSON object"),
         (lambda doc: {**doc, "theoretical_dim": [1.0]}, "theoretical_dim"),
+        (lambda doc: {**doc, "segments": {"a": 1}}, "segments must be"),
+        (lambda doc: {**doc, "segments": "0,0,1,0"}, "segments must be"),
+        (lambda doc: {**doc, "segments": [[0, 0, 1, 0], [1, 0, 2]]}, "segments must be"),
+        # Twelve numbers that a reshape to rows of 4 would have read as three.
+        (lambda doc: {**doc, "segments": [[0, 0, 1], [0, 1, 0], [1, 0, 2], [1, 1, 3]]},
+         "segments must be"),
     ],
     ids=["empty-object", "no-min_seg_len", "top-level-list",
-         "theoretical_dim-list"],
+         "theoretical_dim-list", "segments-object", "segments-string",
+         "segments-ragged", "segments-width-3"],
 )
 def test_cli_refuses_malformed_curve_files(tmp_path, capsys, edit, key):
     path = tmp_path / "curve.json"

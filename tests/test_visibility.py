@@ -274,10 +274,10 @@ def test_visible_set_json_keys(square):
 # ---------------------------------------------------------------------------
 
 
-def _lexsort_first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num, lb):
+def _lexsort_first_hits(starts, stops, q_id, cos_p, sin_p, ex, ey, num, lb, ub):
     """The sort-based winner rule: every candidate at once, then a lexsort.
 
-    It ignores the culling bound lb, so it is the unculled reference.
+    It ignores the bounds lb and ub, so it is the unculled reference.
     """
     cand_k = np.array([k for a, b in zip(starts, stops) for k in range(a, b)],
                       dtype=np.int64)
@@ -318,8 +318,7 @@ def _grid_curves(draw):
        x=st.tuples(st.integers(-4, 12), st.integers(-4, 12)),
        chunk=st.sampled_from([1, 4]))
 def test_min_reduction_matches_lexsort_winners(curve, x, chunk):
-    # A small _CHUNK splits even these curves into batches, so spans are
-    # culled between them.
+    # A small _CHUNK splits even these curves' candidates into many blocks.
     x = (x[0] / 2.0, x[1] / 2.0)
     try:
         with mock.patch.object(geom, "_CHUNK", chunk):
@@ -334,7 +333,7 @@ def test_min_reduction_matches_lexsort_winners(curve, x, chunk):
 
 def test_culling_skips_most_candidates_at_level8():
     # Koch d=1.5 L8 from the four 2x2 grid viewpoints: with the cull,
-    # 16-23% of the (probe, segment) candidates get their t evaluated;
+    # 4.3-4.9% of the (probe, segment) candidates get their t evaluated;
     # without it, all of them do.
     curve = koch_generalized(1.5, 8)
     index = SegmentIndex(curve)
@@ -357,7 +356,7 @@ def test_culling_skips_most_candidates_at_level8():
                 mock.patch.object(visibility, "_first_hits", counting_first_hits):
             visible_set(curve, x, index)
         assert seen["spanned"] > 3_000_000
-        assert seen["evaluated"] <= 0.25 * seen["spanned"], tuple(x)
+        assert seen["evaluated"] <= 0.07 * seen["spanned"], tuple(x)
 
 
 def test_range_max_matches_brute_force():
@@ -366,6 +365,52 @@ def test_range_max_matches_brute_force():
     lo, hi = np.triu_indices(values.size)
     want = [values[a:b + 1].max() for a, b in zip(lo, hi)]
     assert visibility._range_max(table, lo, hi).tolist() == want
+
+
+@pytest.mark.parametrize("m, n_ranges", [(1, 0), (1, 1), (5, 0), (37, 60), (64, 200)])
+def test_range_min_paint_matches_brute_force(m, n_ranges):
+    rng = np.random.default_rng(m + n_ranges)
+    lo = rng.integers(0, m, size=n_ranges)
+    hi = np.minimum(lo + rng.integers(0, m, size=n_ranges), m - 1)
+    # The first range has length 1 and the second covers all m slots; small
+    # integer values make ties common.
+    lo[:2], hi[:2] = [m - 1, 0][:n_ranges], [m - 1, m - 1][:n_ranges]
+    values = rng.integers(0, 8, size=n_ranges).astype(float)
+    values[rng.random(n_ranges) < 0.2] = np.inf
+    want = [min((v for a, b, v in zip(lo, hi, values) if a <= k <= b), default=np.inf)
+            for k in range(m)]
+    assert visibility._range_min_paint(m, lo, hi, values).tolist() == want
+
+
+_BOUND_ERROR = "a first hit lies beyond its cull bound"
+
+
+def test_first_hits_refuses_a_bound_below_a_hit(koch5):
+    cull_bound = visibility._cull_bound
+
+    def halved(*args):
+        lb, ub = cull_bound(*args)
+        return lb, 0.5 * ub
+
+    with mock.patch.object(visibility, "_cull_bound", halved), \
+            pytest.raises(ValueError, match=_BOUND_ERROR):
+        visible_set(koch5, (0.5, -1.5))
+
+
+@given(curve=_grid_curves(),
+       scale=st.sampled_from([1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6]),
+       x=st.tuples(st.integers(-4, 12), st.integers(-4, 12)),
+       far=st.sampled_from([1.0, 1e3, 1e6, 1e9]))
+def test_upper_bound_holds_across_scales_and_distances(curve, scale, x, far):
+    # Viewpoints on a half grid around the curve, then pushed out to far
+    # times as far from the grid's centre (2, 2).
+    curve = from_segments(curve.segments * scale)
+    x = tuple(scale * (2.0 + far * (c / 2.0 - 2.0)) for c in x)
+    try:
+        visible_set(curve, x)
+    except ValueError as exc:
+        assert _BOUND_ERROR not in str(exc)
+        assume(False)
 
 
 def _crossing_soup():
