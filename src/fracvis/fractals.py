@@ -127,20 +127,36 @@ class CurveSpec:
 class CurveApprox:
     """Polygonal approximation: ordered segments plus bookkeeping.
 
-    ``segments`` is an (n, 4) float64 array of rows [ax, ay, bx, by].
-    ``diam`` and ``is_point_cloud`` are derived from them once.  A point
-    cloud's rows are all degenerate (a == b); such curves are rejected by
-    the visibility module but accepted by the measure estimators.
+    ``segments`` is an (n, 4) float64 array of rows [ax, ay, bx, by]; it is
+    built from any nonempty array or nested list of such rows of finite
+    numbers, and anything else is refused with a ValueError naming
+    ``segments``.  ``min_seg_len`` None means the shortest segment's
+    length.  ``diam`` and ``is_point_cloud`` are derived from the segments
+    once.  A point cloud's rows are all degenerate (a == b); such curves
+    are rejected by the visibility module but accepted by the measure
+    estimators.
     """
 
     segments: np.ndarray
     theoretical_dim: float | None
-    min_seg_len: float
+    min_seg_len: float | None
     spec: CurveSpec
     diam: float = field(init=False)
     is_point_cloud: bool = field(init=False)
 
     def __post_init__(self):
+        try:  # ragged rows raise here
+            segs = np.asarray(self.segments)
+        except ValueError:
+            segs = np.empty(0)
+        if segs.dtype.kind not in "iuf" or segs.shape[1:] != (4,) or len(segs) == 0:
+            raise ValueError(
+                "segments must be a nonempty list of [x0, y0, x1, y1] rows of numbers")
+        if not np.all(np.isfinite(segs)):
+            raise ValueError("segments must be finite, got a non-finite number")
+        self.segments = segs.astype(float, copy=False)
+        if self.min_seg_len is None:
+            self.min_seg_len = float(self.lengths().min())
         a, b = self.segments[:, 0:2], self.segments[:, 2:4]
         self.diam = diameter(np.vstack([a, b]))
         self.is_point_cloud = bool(np.all(a == b))
@@ -159,7 +175,7 @@ class CurveApprox:
             return self.segments[:, 0:2]
         a = self.segments[:, 0:2]
         b = self.segments[:, 2:4]
-        if self.n_segments and np.array_equal(a[1:], b[:-1]):
+        if np.array_equal(a[1:], b[:-1]):
             return np.vstack([a, b[-1:]])
         return np.vstack([a, b])
 
@@ -219,21 +235,9 @@ def _chain_to_segments(pts: np.ndarray, closed: bool) -> np.ndarray:
     return np.column_stack([pts, nxt])
 
 
-def _finish(segments: np.ndarray, theoretical_dim: float | None,
-            spec: CurveSpec, min_seg_len: float | None = None) -> CurveApprox:
-    if min_seg_len is None:
-        lengths = np.hypot(segments[:, 2] - segments[:, 0],
-                           segments[:, 3] - segments[:, 1])
-        min_seg_len = float(lengths.min())
-    return CurveApprox(segments, theoretical_dim, min_seg_len, spec)
-
-
 def from_segments(segments) -> CurveApprox:
-    """Wrap a raw (n, 4) segment array for tests and fixtures."""
-    arr = np.asarray(segments, dtype=float).reshape(-1, 4)
-    if arr.shape[0] == 0:
-        raise ValueError("need at least one segment")
-    return _finish(arr, None, CurveSpec("soup"))
+    """Wrap raw [x0, y0, x1, y1] rows for tests and fixtures."""
+    return CurveApprox(segments, None, None, CurveSpec("soup"))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +280,7 @@ def koch_generalized(target_dim: float, level: int) -> CurveApprox:
     xy = np.column_stack([pts.real, pts.imag])
     segs = _chain_to_segments(xy, closed=False)
     spec = CurveSpec("koch", target_dim, level, 0, {})
-    return _finish(segs, target_dim, spec)
+    return CurveApprox(segs, target_dim, None, spec)
 
 
 def quasicircle(seed: int, roughness: float = QUASI_ROUGHNESS, level: int = 9,
@@ -328,7 +332,7 @@ def quasicircle(seed: int, roughness: float = QUASI_ROUGHNESS, level: int = 9,
     segs = _chain_to_segments(pts, closed=True)
     spec = CurveSpec("quasicircle", None, level, seed,
                      {"roughness": roughness, "amplitude": amplitude})
-    return _finish(segs, None, spec)
+    return CurveApprox(segs, None, None, spec)
 
 
 def circle(center, radius: float, n: int) -> CurveApprox:
@@ -343,7 +347,7 @@ def circle(center, radius: float, n: int) -> CurveApprox:
     segs = _chain_to_segments(pts, closed=True)
     spec = CurveSpec("circle", params={"cx": float(c[0]), "cy": float(c[1]),
                                        "radius": float(radius), "n": n})
-    return _finish(segs, 1.0, spec)
+    return CurveApprox(segs, 1.0, None, spec)
 
 
 def polyline(points) -> CurveApprox:
@@ -358,7 +362,7 @@ def polyline(points) -> CurveApprox:
     segs = _chain_to_segments(pts, closed=False)
     spec = CurveSpec("polyline",
                      params={"points": [float(v) for v in pts.ravel()]})
-    return _finish(segs, 1.0, spec)
+    return CurveApprox(segs, 1.0, None, spec)
 
 
 def cantor_cross(ratio: float, level: int) -> CurveApprox:
@@ -384,7 +388,7 @@ def cantor_cross(ratio: float, level: int) -> CurveApprox:
     segs = np.column_stack([pts, pts])
     dim = 2.0 * math.log(2.0) / math.log(1.0 / ratio)
     spec = CurveSpec("cantor_cross", None, level, 0, {"ratio": ratio})
-    return _finish(segs, dim, spec, min_seg_len=ratio**level)
+    return CurveApprox(segs, dim, ratio**level, spec)
 
 
 # The one definition of each curve family: kind -> (builder, the CurveSpec
@@ -553,19 +557,12 @@ def curve_from_json(text: str) -> CurveApprox:
     # curve_to_json writes -0.0 as "-0", which json reads as the integer 0.
     doc = check_keys(CurveApprox, json.loads(
         text, parse_int=lambda v: -0.0 if v == "-0" else int(v)))
-    try:  # ragged rows raise here
-        segs = np.asarray(doc["segments"])
-    except ValueError:
-        segs = np.empty(0)
-    if segs.dtype.kind not in "iuf" or segs.shape[1:] != (4,):
-        raise ValueError("segments must be a list of [x0, y0, x1, y1] rows of numbers")
-    if not np.all(np.isfinite(segs)):
-        raise ValueError("cannot read non-finite number")
     theo = doc["theoretical_dim"]
     if theo is not None:
         theo = _as_kind(theo, float, "theoretical_dim")
-    return _finish(segs.astype(float, copy=False), theo, CurveSpec.from_dict(doc["spec"]),
-                   _as_kind(doc["min_seg_len"], float, "min_seg_len"))
+    return CurveApprox(doc["segments"], theo,
+                       _as_kind(doc["min_seg_len"], float, "min_seg_len"),
+                       CurveSpec.from_dict(doc["spec"]))
 
 
 def read_curve(path) -> CurveApprox:

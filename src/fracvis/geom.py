@@ -14,8 +14,9 @@ Conventions
 * Angles are radians.
 * Cones are open sets, so membership uses strict inequalities.
 * ``EPS_GEOM`` is the degeneracy tolerance for collinearity and on-curve
-  tests.  Inequality checkers use the looser ``CHECK_SLACK`` so that valid
-  boundary configurations do not flake on rounding.
+  tests.  The inequality checkers, here and in ``measurelab``, all grant
+  the one looser ``CHECK_SLACK`` so that valid boundary configurations do
+  not flake on rounding.
 """
 
 from __future__ import annotations
@@ -179,8 +180,7 @@ def min_angle_slope(a, pts: np.ndarray) -> float:
     return float(np.min(slopes))
 
 
-def check_angle_ratio_bounds(a, pts, d_minus: float, d_plus: float,
-                             slack: float = CHECK_SLACK) -> bool:
+def check_angle_ratio_bounds(a, pts, d_minus: float, d_plus: float) -> bool:
     """Verify the two-sided angle-ratio bound on a finite configuration.
 
     Preconditions (raise ValueError if violated): 0 < d- <= d+, d- <= 1,
@@ -189,8 +189,8 @@ def check_angle_ratio_bounds(a, pts, d_minus: float, d_plus: float,
 
         1/2 <= <p-a, p+a> / (|p-a| |p+a|) <= 1 - (9 / (17 d+^2)) (|a| alpha)^2
 
-    up to ``slack``; the middle term is the cosine of the angle at p between
-    the chords to a and to -a.
+    up to ``CHECK_SLACK``; the middle term is the cosine of the angle at p
+    between the chords to a and to -a.
     """
     p = _points_array(pts)
     if p.shape[0] == 0:
@@ -216,7 +216,7 @@ def check_angle_ratio_bounds(a, pts, d_minus: float, d_plus: float,
     den = np.hypot(pm[:, 0], pm[:, 1]) * np.hypot(pp[:, 0], pp[:, 1])
     ratio = num / den
     upper = angle_ratio_upper(a_norm, alpha, d_plus)
-    ok = (ratio >= ANGLE_RATIO_LOWER - slack) & (ratio <= upper + slack)
+    ok = (ratio >= ANGLE_RATIO_LOWER - CHECK_SLACK) & (ratio <= upper + CHECK_SLACK)
     return bool(np.all(ok))
 
 
@@ -235,9 +235,8 @@ def intercone_bound(p, sigma: float, tau: float) -> float:
     return -(sigma / (sigma + tau)) * n
 
 
-def intercone_holds(p, sigma: float, tau: float, u,
-                    slack: float = CHECK_SLACK) -> bool:
-    """Check <u - p, p/|p|> >= intercone_bound(p, sigma, tau) - slack.
+def intercone_holds(p, sigma: float, tau: float, u) -> bool:
+    """Check <u - p, p/|p|> >= intercone_bound(p, sigma, tau) - CHECK_SLACK.
 
     Raises ValueError unless u lies in V(0, p, sigma) outside V(p, -p, tau).
     """
@@ -253,7 +252,7 @@ def intercone_holds(p, sigma: float, tau: float, u,
     if back.contains(uv):
         raise ValueError("u must avoid V(p, -p, tau)")
     val = float(np.dot(uv - pv, pv / n))
-    return val >= intercone_bound(pv, sigma, tau) - slack
+    return val >= intercone_bound(pv, sigma, tau) - CHECK_SLACK
 
 
 # ---------------------------------------------------------------------------

@@ -176,14 +176,13 @@ def frostman_sup_profile(mu: DiscreteMeasure, r_grid) -> np.ndarray:
     return (np.cumsum(growth.reshape(r.size, n), axis=0) + w).max(axis=1)[back]
 
 
-def check_frostman(mu: DiscreteMeasure, s: float, r_grid,
-                   slack: float = CHECK_SLACK) -> bool:
-    """True iff sup_x mu(B(x, r)) <= r**s on the grid, sup over atoms."""
+def check_frostman(mu: DiscreteMeasure, s: float, r_grid) -> bool:
+    """True iff mu(B(x, r)) <= r**s + CHECK_SLACK at every atom x and grid r."""
     radii = np.asarray(r_grid, dtype=float)
     if np.any(radii <= 0.0):
         raise ValueError("radii must be positive")
     sup = frostman_sup_profile(mu, radii)
-    return bool(np.all(sup <= radii**s + slack))
+    return bool(np.all(sup <= radii**s + CHECK_SLACK))
 
 
 def frostman_rescale(mu: DiscreteMeasure, s: float, r_grid,
@@ -216,17 +215,16 @@ def sector_mass_bound(theta: float, d_plus: float, s: float) -> float:
 
 
 def sector_mass_check(mu: DiscreteMeasure, x, sector, ann: Annulus, s: float,
-                      frostman_grid=None, assume_frostman: bool = False,
-                      slack: float = CHECK_SLACK) -> SectorMassResult:
+                      assume_frostman: bool = False) -> SectorMassResult:
     """Compare the mass in sector-intersect-annulus against the sector bound.
 
     ``sector`` is either a Cone with vertex x (arc width 2 atan(opening)) or
     a pair (theta_lo, theta_hi) of direction angles about x.  The annulus
     must be centered at x with d_minus <= d_plus / 2, the regime in which
     the covering bound is valid.  The ball-growth precondition
-    mu(B(u, r)) <= r**s is checked first on ``frostman_grid`` (a default
-    grid spanning the annulus scales when omitted) unless the caller has
-    already verified it and passes ``assume_frostman``.
+    mu(B(u, r)) <= r**s is checked first on 32 radii from d_plus / 1024 to
+    2 d_plus unless the caller has already verified it and passes
+    ``assume_frostman``.  ``ok`` is lhs <= rhs + CHECK_SLACK.
     """
     xv = _xy(x)
     if np.hypot(*(ann.center.as_array() - xv)) > 1e-9:
@@ -250,15 +248,14 @@ def sector_mass_check(mu: DiscreteMeasure, x, sector, ann: Annulus, s: float,
     theta = min(theta, 2.0 * math.pi)
 
     if not assume_frostman:
-        if frostman_grid is None:
-            frostman_grid = np.geomspace(ann.d_plus / 1024.0, 2.0 * ann.d_plus, 32)
-        if not check_frostman(mu, s, frostman_grid, slack=slack):
+        frostman_grid = np.geomspace(ann.d_plus / 1024.0, 2.0 * ann.d_plus, 32)
+        if not check_frostman(mu, s, frostman_grid):
             raise ValueError("measure violates the ball-growth precondition on the grid")
 
     inside = in_sector & ann.mask(mu.points)
     lhs = float(np.sum(mu.weights[inside]))
     rhs = sector_mass_bound(theta, ann.d_plus, s)
-    return SectorMassResult(lhs=lhs, rhs=rhs, theta=theta, ok=lhs <= rhs + slack)
+    return SectorMassResult(lhs=lhs, rhs=rhs, theta=theta, ok=lhs <= rhs + CHECK_SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +290,9 @@ def riesz_energy(mu: DiscreteMeasure, s: float) -> float:
 
 _ENERGY_DRAWS = 8
 _ENERGY_BAND_RATIO = 4.0
+# Exponents probed for boundedness, and the sample sizes of their energies.
+_ENERGY_S_GRID = np.round(np.arange(0.30, 1.951, 0.10), 10)
+_ENERGY_N_GRID = np.array([64, 128, 256, 512, 1024, 2048])
 
 
 def _band_distances(pts: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -350,15 +350,15 @@ def _energy_profile(curve: CurveApprox, n: int, s_grid: np.ndarray,
     return total / _ENERGY_DRAWS
 
 
-def energy_dimension(curve: CurveApprox, s_grid=None, n_grid=None,
-                     seed: int = 0) -> DimEstimate:
+def energy_dimension(curve: CurveApprox, seed: int = 0) -> DimEstimate:
     """Dimension as the boundedness threshold of discrete Riesz energies.
 
     An exponent s admits a finite energy exactly when the energy content of
     dyadic distance bands dies out toward fine scales; past the dimension it
-    blows up instead.  For each n in ``n_grid`` the band energy of an n-atom
-    sample at resolution scale diam/n is computed (see ``_energy_profile``);
-    s counts as bounded while the slope of log I_s against log n stays below
+    blows up instead.  For each n in ``_ENERGY_N_GRID`` the band energy of
+    an n-atom sample at resolution scale diam/n is computed for each s in
+    ``_ENERGY_S_GRID`` (see ``_energy_profile``); s counts as bounded while
+    the slope of log I_s against log n stays below
     ``ENERGY_SLOPE_THRESHOLD``, and the estimate interpolates between the
     last bounded and first divergent exponent at the threshold crossing.
     With the band energy scaling like n**(s - d) the crossing sits near
@@ -366,23 +366,10 @@ def energy_dimension(curve: CurveApprox, s_grid=None, n_grid=None,
 
     Sample sizes should respect the input's own resolution: bands finer
     than the minimum feature spacing (segment length, cloud spacing) carry
-    little or no mass and drag the crossing away from the true value.  The
-    default grid tops out at 2048, matching level-7 constructions.
+    little or no mass and drag the crossing away from the true value.
+    ``_ENERGY_N_GRID`` tops out at 2048, matching level-7 constructions.
     """
-    if s_grid is None:
-        s_grid = np.round(np.arange(0.30, 1.951, 0.10), 10)
-    if n_grid is None:
-        n_grid = [64, 128, 256, 512, 1024, 2048]
-    s_grid = np.asarray(s_grid, dtype=float)
-    n_grid = np.asarray(n_grid, dtype=int)
-    if s_grid.size < 2 or np.any(np.diff(s_grid) <= 0.0):
-        raise ValueError("s_grid must be increasing with at least two entries")
-    if np.any((s_grid <= 0.0) | (s_grid >= 2.0)):
-        raise ValueError("s_grid must lie inside (0, 2)")
-    if n_grid.size < 4 or np.any(np.diff(n_grid) <= 0):
-        raise ValueError("n_grid must be increasing with at least four entries")
-    if n_grid[0] < 16:
-        raise ValueError("sample sizes below 16 resolve no scale band")
+    s_grid, n_grid = _ENERGY_S_GRID, _ENERGY_N_GRID
     if not (curve.diam > 0.0):
         raise ValueError("degenerate curve: zero diameter")
 

@@ -14,6 +14,7 @@ from .fractals import CurveApprox
 from .visibility import VisibleSet
 
 _SCENE_SIZE = 800
+_SCENE_MARGIN = 40
 _PLOT_W = 800
 _PLOT_H = 560
 _MARGIN = 56
@@ -67,18 +68,18 @@ def _path_d(frame: _Frame, segs: np.ndarray) -> str:
     )
 
 
-def render_scene(curve: CurveApprox, vs: VisibleSet,
-                 size: int = _SCENE_SIZE, margin: int = 40) -> str:
+def render_scene(curve: CurveApprox, vs: VisibleSet) -> str:
     """Curve in grey, visible pieces in red, viewpoint as a filled dot."""
     segs = curve.segments
     xs = [segs[:, 0].min(), segs[:, 0].max(), segs[:, 2].min(), segs[:, 2].max(),
           vs.viewpoint.x]
     ys = [segs[:, 1].min(), segs[:, 1].max(), segs[:, 3].min(), segs[:, 3].max(),
           vs.viewpoint.y]
-    frame = _Frame(min(xs), min(ys), max(xs), max(ys), size, size, margin)
+    frame = _Frame(min(xs), min(ys), max(xs), max(ys),
+                   _SCENE_SIZE, _SCENE_SIZE, _SCENE_MARGIN)
 
     parts = [
-        _header(size, size),
+        _header(_SCENE_SIZE, _SCENE_SIZE),
         f'<path d="{_path_d(frame, segs)}" stroke="#999999" stroke-width="1" '
         'fill="none"/>\n',
     ]
@@ -98,9 +99,7 @@ def render_scene(curve: CurveApprox, vs: VisibleSet,
     return "".join(parts)
 
 
-def render_dim_scatter(dists, dims, d_hat: float, f_bound: float,
-                       width: int = _PLOT_W, height: int = _PLOT_H,
-                       margin: int = _MARGIN) -> str:
+def render_dim_scatter(dists, dims, d_hat: float, f_bound: float) -> str:
     """dim_visible against viewpoint distance, with reference lines."""
     if len(dists) != len(dims) or not dists:
         raise ValueError("need matching, non-empty dists and dims")
@@ -113,11 +112,11 @@ def render_dim_scatter(dists, dims, d_hat: float, f_bound: float,
     y_hi = max(max(ys), d_hat, f_bound) + 0.05
 
     def to(x, y):
-        cx = margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
-        cy = height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
+        cx = _MARGIN + (x - x_lo) / (x_hi - x_lo) * (_PLOT_W - 2 * _MARGIN)
+        cy = _PLOT_H - _MARGIN - (y - y_lo) / (y_hi - y_lo) * (_PLOT_H - 2 * _MARGIN)
         return cx, cy
 
-    parts = [_header(width, height)]
+    parts = [_header(_PLOT_W, _PLOT_H)]
     ax0, ay0 = to(x_lo, y_lo)
     ax1, ay1 = to(x_hi, y_hi)
     parts.append(
@@ -145,12 +144,12 @@ def render_dim_scatter(dists, dims, d_hat: float, f_bound: float,
             'fill-opacity="0.7"/>\n'
         )
     parts.append(
-        f'<text x="{_num(0.5 * width - 60)}" y="{_num(height - 12)}" '
+        f'<text x="{_num(0.5 * _PLOT_W - 60)}" y="{_num(_PLOT_H - 12)}" '
         'font-family="monospace" font-size="13">distance to set</text>\n'
     )
     parts.append(
-        f'<text x="14" y="{_num(0.5 * height)}" font-family="monospace" '
-        f'font-size="13" transform="rotate(-90 14 {_num(0.5 * height)})">'
+        f'<text x="14" y="{_num(0.5 * _PLOT_H)}" font-family="monospace" '
+        f'font-size="13" transform="rotate(-90 14 {_num(0.5 * _PLOT_H)})">'
         "dim of visible part</text>\n"
     )
     # Axis extremes, enough to read the plot without a tick generator.

@@ -394,6 +394,25 @@ def test_from_segments_soup():
     assert not soup.is_point_cloud
 
 
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        # Twelve numbers that a reshape to rows of 4 would read as three rows.
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 2], [1, 1, 3]], "segments must be"),
+        ([[0, 0, 1, 0], [1, 0, 2]], "segments must be"),
+        ([], "segments must be"),
+        (np.empty((0, 4)), "segments must be"),
+        ([[0, 0, 1, 0], [1, 0, 2, math.nan]], "segments must be finite"),
+        ([[0, 0, 1, 0], [1, 0, 2, math.inf]], "segments must be finite"),
+        ([[0, 0, 1, 0], [1, 0, -math.inf, 1]], "segments must be finite"),
+    ],
+    ids=["width-3", "ragged", "empty-list", "empty-array", "nan", "inf", "-inf"],
+)
+def test_from_segments_refuses_anything_but_finite_rows_of_four(rows, match):
+    with pytest.raises(ValueError, match=match):
+        from_segments(rows)
+
+
 def test_vertices_keep_tiny_disjoint_segments():
     # Endpoints 4e-9 apart are distinct points, not one chain joint.
     soup = from_segments([[0.0, 0.0, 1e-9, 0.0], [5e-9, 5e-9, 6e-9, 5e-9]])

@@ -488,19 +488,6 @@ def test_band_distances_match_scan_past_one_block(koch7):
         assert np.array_equal(_band_distances(pts, lo, hi), want)
 
 
-def test_energy_dimension_rejects_bad_grids(unit_segment):
-    with pytest.raises(ValueError):
-        energy_dimension(unit_segment, s_grid=[1.0])
-    with pytest.raises(ValueError):
-        energy_dimension(unit_segment, s_grid=[0.5, 2.5])
-    with pytest.raises(ValueError):
-        energy_dimension(unit_segment, s_grid=[1.0, 0.5])
-    with pytest.raises(ValueError):
-        energy_dimension(unit_segment, n_grid=[64, 128, 256])
-    with pytest.raises(ValueError):
-        energy_dimension(unit_segment, n_grid=[8, 16, 32, 64])
-
-
 def test_dyadic_scales_halving():
     scales = dyadic_scales((1 / 64, 1 / 4))
     assert scales == pytest.approx([1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64])
