@@ -7,7 +7,10 @@ event angles (segment endpoints as seen from x, plus any pairwise segment
 crossing points), and on each interval between consecutive events the first
 hit stays on a single segment, so one probe ray per interval determines the
 winner and the interval's boundary rays cut the exact visible sub-segment.
-Correctness does not depend on any resolution parameter.
+Correctness does not depend on any resolution parameter.  Each endpoint is
+itself an event, so the one sort that finds the events also ranks every
+vertex, and a segment's probes are the integers between its endpoints'
+ranks: no span is placed by comparing angles in floating point.
 
 Each probe's winner is a min-reduction over its candidates (the segments
 whose angular span contains it): the least hit parameter t, then, among
@@ -30,7 +33,7 @@ blocks of ``geom._CHUNK``, so memory stays bounded as curves get finer.
 ``visible_oracle`` is the independent brute-force check: it casts the
 chord to a curve point against every segment in one
 ``geom.hit_t_elementwise`` call.  :class:`SegmentIndex` caches a curve's
-segment crossings so that many viewpoints share them.
+segment crossings and vertex table so that many viewpoints share them.
 """
 
 from __future__ import annotations
@@ -192,23 +195,40 @@ def _pair_crossings(segs: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarra
 
 
 class SegmentIndex:
-    """A curve's segment crossings, computed once for many viewpoints.
+    """A curve's sweep tables, computed once for many viewpoints.
 
-    The crossings are event angles for every ``visible_set`` call on the
-    curve, so a sweep builds one index and passes it to each call instead
-    of recomputing them per viewpoint.  ``n_segments`` records the curve's
-    segment count, so ``visible_set`` can refuse an index built from a
-    curve of another size.
+    The tables are the curve's segment crossings, which are event angles
+    for every ``visible_set`` call on it, and its vertex table, built in
+    O(n) with no sort.  Segment i starts at vertex i and ends at vertex
+    i + 1 when its end is bitwise equal to segment i + 1's start; else its
+    end is a vertex of its own, and ``loose`` lists these segments, whose
+    ends are vertices n, n + 1, ... in that order.  So a chain of n
+    segments has n + 1 vertices, and a sweep takes one angle per vertex.
+    ``segments`` is the curve's array, so ``visible_set`` can refuse an
+    index built from another curve.
     """
 
     def __init__(self, curve: CurveApprox):
         if curve.is_point_cloud:
             raise ValueError("visibility requires a segment set")
-        self.n_segments = int(curve.segments.shape[0])
+        segs = curve.segments
+        self.segments = segs
+        self.n_segments = int(segs.shape[0])
         self._crossings = find_segment_crossings(curve)
+        bits = segs.view(np.int64)
+        self.loose = np.append(np.flatnonzero((bits[:-1, 2] != bits[1:, 0])
+                                              | (bits[:-1, 3] != bits[1:, 1])),
+                               self.n_segments - 1)
 
     def crossings(self) -> np.ndarray:
         return self._crossings
+
+    def at_ends(self, per_vertex: np.ndarray) -> np.ndarray:
+        """Each segment's end-vertex entry of per_vertex, indexed by vertex."""
+        n = self.n_segments
+        out = per_vertex[1:n + 1].copy()
+        out[self.loose] = per_vertex[n:n + self.loose.size]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -216,28 +236,36 @@ class SegmentIndex:
 # ---------------------------------------------------------------------------
 
 
-def _spans(pa, pb, probes, base):
-    """Each segment's probes: the nonempty ranges [starts, stops), segment ids q_id.
+def _spans(segs, o, index: SegmentIndex):
+    """The events about o, and each segment's probes as ranges [starts, stops) of q_id.
 
-    A segment's span runs from its endpoint angles pa, pb the short way
-    round.  Spans are mapped into the frame starting at base, the first
-    event, and the ones that wrap past the end of the frame are split.
+    The events are the distinct angles of the vertices and crossings, in
+    [0, 2 pi) and ascending; probe k lies between events k and k + 1 (mod
+    m, the number of events).  ``np.unique`` ranks each vertex among them,
+    so a segment's span runs the short way round from the rank lo of one
+    endpoint to the rank hi of the other: the probes [lo, hi), or [lo, m)
+    and [0, hi) when it wraps past the last event (hi < lo).  Only the
+    nonempty ranges are returned.
     """
-    width = np.mod(pb - pa, TWO_PI)
-    flip = width > math.pi
-    lo = np.where(flip, pb, pa)
-    w = np.where(flip, TWO_PI - width, width)
-    lo_f = base + np.mod(lo - base, TWO_PI)
-    hi_f = lo_f + w
-    seg_ids = np.arange(pa.size, dtype=np.int64)
-    wrap = hi_f > base + TWO_PI
-    q_lo = np.concatenate([lo_f, np.full(np.count_nonzero(wrap), base)])
-    q_hi = np.concatenate([hi_f, hi_f[wrap] - TWO_PI])
-    q_id = np.concatenate([seg_ids, seg_ids[wrap]])
-    starts = np.searchsorted(probes, q_lo, side="right")
-    stops = np.searchsorted(probes, q_hi, side="left")
+    n = segs.shape[0]
+    loose = segs[index.loose, 2:4]
+    crossings = index.crossings()
+    # One angle per vertex (starts, then loose ends), then one per crossing.
+    angles = np.mod(np.concatenate([
+        np.arctan2(segs[:, 1] - o[1], segs[:, 0] - o[0]),
+        np.arctan2(loose[:, 1] - o[1], loose[:, 0] - o[0]),
+        np.arctan2(crossings[:, 1] - o[1], crossings[:, 0] - o[0])]), TWO_PI)
+    events, rank = np.unique(angles, return_inverse=True)
+    flip = np.mod(index.at_ends(angles) - angles[:n], TWO_PI) > math.pi
+    lo = rank[:n]
+    hi = index.at_ends(rank)
+    lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
+    wrap = hi < lo
+    starts = np.concatenate([lo, np.zeros(np.count_nonzero(wrap), dtype=lo.dtype)])
+    stops = np.concatenate([np.where(wrap, events.size, hi), hi[wrap]])
+    q_id = np.concatenate([np.arange(n), np.flatnonzero(wrap)])
     live = stops > starts
-    return starts[live], stops[live], q_id[live]
+    return events, starts[live], stops[live], q_id[live]
 
 
 def _cull_bound(segs, o, dmin, lengths, num) -> tuple[np.ndarray, np.ndarray]:
@@ -256,12 +284,13 @@ def _cull_bound(segs, o, dmin, lengths, num) -> tuple[np.ndarray, np.ndarray]:
       within an ulp, by <= 2.9 kappa eps; the division and the probe
       direction's length add 1.5 eps.  In all, t is off by <= 8 kappa eps.
     * A probe can lie outside the exact span by the angle rounding between
-      endpoint and probe: about a dozen roundings (arctan2, the reductions
-      by TWO_PI, the span width, the frame shift, the wrap split and the
-      probe midpoint), each at most half an ulp of 4 pi (4 eps), plus
-      TWO_PI's own error, sum to delta < 50 eps.  Turning the ray by delta
-      scales its distance to the line by [1 - kappa delta, 1 / (1 - kappa
-      delta)], as the tangent of its angle to the line's normal is <= kappa.
+      endpoint and probe: the vertex arctan2 and its reduction by TWO_PI,
+      the probe midpoint (for the last probe, after the first event's shift
+      by TWO_PI), and the probe's reduction by TWO_PI, cos and sin, each at
+      most half an ulp of 4 pi (4 eps), plus TWO_PI's own error, sum to
+      delta < 50 eps.  Turning the ray by delta scales its distance to the
+      line by [1 - kappa delta, 1 / (1 - kappa delta)], as the tangent of
+      its angle to the line's normal is <= kappa.
     * point_segments_dist forms the nearest point in absolute coordinates,
       so dmin itself may be high by <= 5 kappa eps dmin + 2 eps |o|_inf.
     * far is the hypot of the differences a - o, b - o behind the span, off
@@ -309,19 +338,27 @@ def _range_min_paint(m: int, lo, hi, values) -> np.ndarray:
     The reverse of _range_max_table.  A range of length L paints its value
     on the two blocks of 2**j slots, j = floor(log2 L), that start at lo and
     end at hi; then, from the largest blocks down, each block hands its
-    value on to its two halves.  Only two rows of m values are held.
+    value on to its two halves.  The ranges are sorted by j once, so each
+    level paints one slice of them.  Only two rows of m values are held.
     """
     j = np.frexp(hi - lo + 1)[1] - 1
+    order = np.argsort(j)
+    j = j[order]
+    lo = lo[order]
+    right = hi[order] + 1 - (1 << j)
+    values = values[order]
+    # The ranges of level j are the slice [edges[j], edges[j + 1]).
+    edges = np.concatenate([[0], np.cumsum(np.bincount(j))])
     row = np.full(m, np.inf)
     below = np.empty(m)
-    for level in range(int(j.max(initial=-1)), -1, -1):
+    for level in range(edges.size - 2, -1, -1):
         w = 1 << level
         # row holds the blocks of 2w slots; the one at i covers i and i + w.
         np.copyto(below, row)
         np.minimum(below[w:], row[:-w], out=below[w:])
-        sel = j == level
+        sel = slice(edges[level], edges[level + 1])
         np.minimum.at(below, lo[sel], values[sel])
-        np.minimum.at(below, hi[sel] + 1 - w, values[sel])
+        np.minimum.at(below, right[sel], values[sel])
         row, below = below, row
     return row
 
@@ -388,9 +425,9 @@ def visible_set(curve: CurveApprox, x,
     listed by parent segment index, then start point, then end point.
     ``angular_coverage`` is the measure of directions whose ray meets the
     curve.  x must be strictly off the curve; point clouds are rejected.
-    ``index``, when given, must have been built from this curve; it only
-    saves recomputing the crossings.  An index built from a curve with a
-    different segment count raises ValueError.
+    ``index``, when given, must have been built from this curve's segments;
+    it only saves rebuilding the crossings and the vertex table.  An index
+    built from other segments, of any count, raises ValueError.
 
     Each probe's first hit is bounded by the farthest distance of a
     segment spanning it, and a segment whose nearest distance exceeds that
@@ -407,17 +444,13 @@ def visible_set(curve: CurveApprox, x,
     ey = segs[:, 3] - segs[:, 1]
     lengths = np.hypot(ex, ey)
     dmin = _reject_bad_viewpoint(curve, o, lengths)
-    n = segs.shape[0]
-    if index is not None and index.n_segments != n:
+    if index is None:
+        index = SegmentIndex(curve)
+    elif not np.array_equal(index.segments, segs):
         raise ValueError(f"segment index built from a curve of {index.n_segments} "
-                         f"segments; this curve has {n}")
+                         f"segments, not from this curve of {segs.shape[0]}")
 
-    pa = np.mod(np.arctan2(segs[:, 1] - o[1], segs[:, 0] - o[0]), TWO_PI)
-    pb = np.mod(np.arctan2(segs[:, 3] - o[1], segs[:, 2] - o[0]), TWO_PI)
-
-    crossings = find_segment_crossings(curve) if index is None else index.crossings()
-    pc = np.mod(np.arctan2(crossings[:, 1] - o[1], crossings[:, 0] - o[0]), TWO_PI)
-    events = np.unique(np.concatenate([pa, pb, pc]))
+    events, starts, stops, q_id = _spans(segs, o, index)
     m = events.size
     vp = Viewpoint(float(o[0]), float(o[1]), float(dmin.min()))
     if m < 2:
@@ -427,8 +460,6 @@ def visible_set(curve: CurveApprox, x,
     ext = np.concatenate([events, [events[0] + TWO_PI]])
     widths = np.diff(ext)
     probes = 0.5 * (ext[:-1] + ext[1:])  # ascending, in [events[0], events[0] + 2*pi)
-
-    starts, stops, q_id = _spans(pa, pb, probes, events[0])
     ang = np.mod(probes, TWO_PI)
     cos_p = np.cos(ang)
     sin_p = np.sin(ang)

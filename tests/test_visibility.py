@@ -231,6 +231,40 @@ def test_visible_set_rejects_index_of_another_curve(koch5, square):
         visible_set(koch5, (0.5, -1.5), SegmentIndex(square))
 
 
+def test_visible_set_rejects_index_of_same_size_curve():
+    # Same segment count, other segments: the index's vertex table and
+    # crossings belong to the other curve.
+    with pytest.raises(ValueError, match="segment index built from a curve of 1024"):
+        visible_set(koch_generalized(1.5, 5), (0.5, -1.5),
+                    SegmentIndex(koch_generalized(1.3, 5)))
+
+
+def _facing_edges(curve, o):
+    # For a regular polygon centred at the origin, each edge's midpoint
+    # points along its outward normal.
+    mid = 0.5 * (curve.segments[:, 0:2] + curve.segments[:, 2:4])
+    return np.flatnonzero(np.einsum("ij,ij->i", np.asarray(o) - mid, mid) > 0.0)
+
+
+def test_distant_viewpoint_sees_exactly_the_facing_edges():
+    # Ranking by float span frames put 158 hidden far-side edges among
+    # the 2,206 parents seen from here.
+    c = circle((0.0, 0.0), 1.0, 4096)
+    o = (-1e8, 1.0)
+    assert visible_set(c, o).parents.tolist() == _facing_edges(c, o).tolist()
+
+
+@pytest.mark.parametrize("radius", [1e2, 1e4, 1e6])
+@pytest.mark.parametrize("n", [3, 7, 64, 1000, 4096])
+def test_far_viewpoints_see_exactly_the_facing_edges(n, radius):
+    # A facing edge of a convex polygon is wholly visible and the others
+    # are hidden, so the parents are the facing edges, one piece each.
+    c = circle((0.0, 0.0), 1.0, n)
+    for theta in (0.3, 2.147, 4.4):
+        o = (radius * math.cos(theta), radius * math.sin(theta))
+        assert visible_set(c, o).parents.tolist() == _facing_edges(c, o).tolist(), theta
+
+
 def test_visible_pieces_subsets_of_parents_level7(koch7):
     vs = visible_set(koch7, (0.5, -0.8))
     arr = vs.segments
