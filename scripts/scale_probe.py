@@ -5,7 +5,9 @@ Usage:
     python3 scripts/scale_probe.py 8 9 10
 
 Each level runs in a fresh interpreter.  It builds
-``koch_generalized(1.5, LEVEL)``, box-counts it (``box_dimension(curve)``,
+``koch_generalized(1.5, LEVEL)``, writes it to a curve file in a temporary
+directory and reads it back (``write_curve``, ``read_curve``; the line gives
+both times and the file's size), box-counts it (``box_dimension(curve)``,
 the sweep's d_hat), estimates its energy dimension (``energy_dimension(curve)``
 on the default grid), builds its ``SegmentIndex``, then computes one
 ``visible_set`` from the first ring viewpoint of ``plan_viewpoints``
@@ -23,6 +25,7 @@ import multiprocessing
 import resource
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -37,7 +40,7 @@ def _rss_mb() -> float:
 
 
 def _probe(level: int) -> None:
-    from fracvis.fractals import koch_generalized
+    from fracvis.fractals import koch_generalized, read_curve, write_curve
     from fracvis.harness import ViewpointPlan, plan_viewpoints
     from fracvis.measurelab import box_dimension, energy_dimension
     from fracvis.visibility import SegmentIndex, visible_set
@@ -49,6 +52,15 @@ def _probe(level: int) -> None:
     t0 = time.perf_counter()
     curve = koch_generalized(KOCH_DIM, level)
     report("generate", t0, f"{curve.segments.shape[0]} segments")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "curve.json"
+        t0 = time.perf_counter()
+        write_curve(curve, path)
+        t_write = time.perf_counter() - t0
+        read_curve(path)
+        report("curve file", t0, f"write {t_write:.3f} s, read "
+                                 f"{time.perf_counter() - t0 - t_write:.3f} s, "
+                                 f"{path.stat().st_size / 1e6:.1f} MB")
     t0 = time.perf_counter()
     d_hat = box_dimension(curve)
     report("d_hat", t0, f"{d_hat.value:.4f} over {d_hat.n_scales} scales")

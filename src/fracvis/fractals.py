@@ -49,9 +49,10 @@ _QUASI_BUMP_CLIP = 0.95
 def check_keys(cls, d) -> dict:
     """``d`` unchanged if it can build the record ``cls``, else ValueError.
 
-    Refuses anything but a JSON object, one lacking a field that has no
-    default, and one with a key that names no field (a misspelt key would
-    otherwise leave its field at the default).  A field the record derives
+    Refuses anything but a JSON object, one with a key that names no field
+    (a misspelt key would otherwise leave its field at the default), and
+    one lacking a field that has no default; an unknown key is named first,
+    as it tells more (a retired key, say).  A field the record derives
     itself (``init=False``) is no key.
     """
     if not isinstance(d, dict):
@@ -61,10 +62,10 @@ def check_keys(cls, d) -> dict:
     missing = [f.name for f in fields if f.name not in d
                and f.default is f.default_factory is dataclasses.MISSING]
     unknown = sorted(set(d) - {f.name for f in fields})
-    if missing:
-        raise ValueError(f"{cls.__name__} lacks required field {missing[0]!r}")
     if unknown:
         raise ValueError(f"{cls.__name__} has unknown field {unknown[0]!r}")
+    if missing:
+        raise ValueError(f"{cls.__name__} lacks required field {missing[0]!r}")
     return d
 
 
@@ -233,6 +234,33 @@ def _chain_to_segments(pts: np.ndarray, closed: bool) -> np.ndarray:
         nxt = pts[1:]
         pts = pts[:-1]
     return np.column_stack([pts, nxt])
+
+
+def loose_segments(segments: np.ndarray) -> np.ndarray:
+    """Ids, ascending, of the segments whose end is not bitwise the next one's start.
+
+    This is the vertex-table rule of curve files and of the visibility
+    sweep: segment i of n starts at vertex i, and ends at vertex i + 1
+    unless it is loose; the ends of the loose segments are vertices n,
+    n + 1, ... in this order.  The last segment is always loose, so a chain
+    of n segments has n + 1 vertices.  Bitwise, so -0.0 and 0.0 differ.
+    """
+    bits = segments.view(np.int64)
+    return np.append(np.flatnonzero((bits[:-1, 2] != bits[1:, 0])
+                                    | (bits[:-1, 3] != bits[1:, 1])),
+                     segments.shape[0] - 1)
+
+
+def vertex_ends(per_vertex: np.ndarray, loose: np.ndarray, n: int) -> np.ndarray:
+    """Each of n segments' entry of per_vertex at its end vertex.
+
+    ``per_vertex`` is indexed by the vertices of :func:`loose_segments`'
+    rule, and ``loose`` is that function's result; entries past the
+    vertices are not read.
+    """
+    out = per_vertex[1:n + 1].copy()
+    out[loose] = per_vertex[n:n + loose.size]
+    return out
 
 
 def from_segments(segments) -> CurveApprox:
@@ -505,10 +533,13 @@ def _fnum(v) -> str:
 
 
 def curve_to_json(curve: CurveApprox) -> str:
-    """Serialize a curve with floats at 17 significant digits.
+    """Serialize a curve as a vertex table, floats at 17 significant digits.
 
-    The document is built by hand so that identical curves always produce
-    byte-identical files.
+    ``vertices`` is the flat x, y list of the n segment starts, then of the
+    end of each segment in ``loose`` (:func:`loose_segments`), in its
+    order; so a chain of n segments stores n + 1 points and a point cloud
+    2n.  The document is built by hand so that identical curves always
+    produce byte-identical files.
     """
     spec = curve.spec
 
@@ -534,15 +565,17 @@ def curve_to_json(curve: CurveApprox) -> str:
     segs = curve.segments
     if not np.all(np.isfinite(segs)):
         raise ValueError("cannot serialize non-finite number")
+    loose = loose_segments(segs)
+    verts = np.concatenate([segs[:, 0:2].ravel(), segs[loose, 2:4].ravel()])
     # One %-format over every coordinate; "%.17g" matches _fnum's format().
-    rows = ",".join(["[%.17g,%.17g,%.17g,%.17g]"] * segs.shape[0]) % tuple(
-        segs.ravel().tolist())
+    nums = ",".join(["%.17g"] * verts.size) % tuple(verts.tolist())
     return (
         "{"
         f"\"spec\":{spec_json},"
         f"\"theoretical_dim\":{_fnum(curve.theoretical_dim)},"
         f"\"min_seg_len\":{_fnum(curve.min_seg_len)},"
-        f"\"segments\":[{rows}]"
+        f"\"vertices\":[{nums}],"
+        f"\"loose\":[{','.join(map(str, loose.tolist()))}]"
         "}"
     )
 
@@ -553,16 +586,70 @@ def write_curve(curve: CurveApprox, path) -> None:
         fh.write("\n")
 
 
+@dataclass(frozen=True)
+class CurveFile:
+    """The keys of a curve file, as :func:`curve_to_json` writes them."""
+
+    spec: dict
+    theoretical_dim: float | None
+    min_seg_len: float
+    vertices: list
+    loose: list
+
+
 def curve_from_json(text: str) -> CurveApprox:
+    """The curve of a :func:`curve_to_json` document.
+
+    A missing, unknown or malformed key (such as ``segments``, of the old
+    row layout) is refused with a ValueError naming it.
+    """
     # curve_to_json writes -0.0 as "-0", which json reads as the integer 0.
-    doc = check_keys(CurveApprox, json.loads(
+    doc = check_keys(CurveFile, json.loads(
         text, parse_int=lambda v: -0.0 if v == "-0" else int(v)))
     theo = doc["theoretical_dim"]
     if theo is not None:
         theo = _as_kind(theo, float, "theoretical_dim")
-    return CurveApprox(doc["segments"], theo,
+    return CurveApprox(_rows_of_table(doc["vertices"], doc["loose"]), theo,
                        _as_kind(doc["min_seg_len"], float, "min_seg_len"),
                        CurveSpec.from_dict(doc["spec"]))
+
+
+def _rows_of_table(vertices, loose) -> np.ndarray:
+    """The (n, 4) segment rows of a curve file's vertex table.
+
+    n is the number of points less ``len(loose)``; see :func:`loose_segments`
+    for the rule.  Raises ValueError naming ``vertices`` or ``loose``.
+    """
+    # A bool is an int to numpy and to isinstance, so test the exact types.
+    if not isinstance(vertices, list) or not set(map(type, vertices)) <= {int, float}:
+        raise ValueError("vertices must be a flat list of numbers")
+    if len(vertices) % 2:
+        raise ValueError(f"vertices must be x, y pairs, got {len(vertices)} numbers")
+    try:
+        pts = np.array(vertices, dtype=float).reshape(-1, 2)
+    except OverflowError:
+        raise ValueError("vertices must be finite, got an integer beyond "
+                         "the float range") from None
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("vertices must be finite, got a non-finite number")
+    if len(pts) < 2:
+        raise ValueError(f"vertices must hold 2 or more points, got {len(pts)}")
+    if (not isinstance(loose, list) or not loose
+            or not all(type(i) is int for i in loose)):
+        raise ValueError("loose must be a nonempty list of integers")
+    n = len(pts) - len(loose)
+    if n < 1 or loose[-1] != n - 1:
+        raise ValueError(f"loose must end with n - 1 = {n - 1}, where n is the "
+                         f"{len(pts)} points less the {len(loose)} loose entries")
+    if loose[0] < 0:
+        raise ValueError(f"loose must lie in [0, {n - 1}], got {loose[0]}")
+    try:
+        ids = np.array(loose, dtype=np.int64)
+    except OverflowError:  # an entry beyond int64, so beyond loose[-1]
+        ids = None
+    if ids is None or np.any(np.diff(ids) <= 0):
+        raise ValueError("loose must be strictly increasing")
+    return np.column_stack([pts[:n], vertex_ends(pts, ids, n)])
 
 
 def read_curve(path) -> CurveApprox:

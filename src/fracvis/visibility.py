@@ -44,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom
-from .fractals import CurveApprox, DiscreteMeasure, _fnum, points_at_arclength
+from .fractals import (CurveApprox, DiscreteMeasure, _fnum, loose_segments,
+                       points_at_arclength, vertex_ends)
 from .geom import (
     EPS_GEOM,
     TWO_PI,
@@ -199,13 +200,13 @@ class SegmentIndex:
 
     The tables are the curve's segment crossings, which are event angles
     for every ``visible_set`` call on it, and its vertex table, built in
-    O(n) with no sort.  Segment i starts at vertex i and ends at vertex
-    i + 1 when its end is bitwise equal to segment i + 1's start; else its
-    end is a vertex of its own, and ``loose`` lists these segments, whose
-    ends are vertices n, n + 1, ... in that order.  So a chain of n
-    segments has n + 1 vertices, and a sweep takes one angle per vertex.
-    ``segments`` is the curve's array, so ``visible_set`` can refuse an
-    index built from another curve.
+    O(n) with no sort by :func:`fractals.loose_segments`, the rule curve
+    files use too: segment i starts at vertex i and ends at vertex i + 1
+    unless it is in ``loose``, whose segments end at vertices n, n + 1, ...
+    in order (:func:`fractals.vertex_ends` reads a per-vertex array at
+    each segment's end).  So a chain of n segments has n + 1 vertices, and
+    a sweep takes one angle per vertex.  ``segments`` is the curve's array, so
+    ``visible_set`` can refuse an index built from another curve.
     """
 
     def __init__(self, curve: CurveApprox):
@@ -215,20 +216,10 @@ class SegmentIndex:
         self.segments = segs
         self.n_segments = int(segs.shape[0])
         self._crossings = find_segment_crossings(curve)
-        bits = segs.view(np.int64)
-        self.loose = np.append(np.flatnonzero((bits[:-1, 2] != bits[1:, 0])
-                                              | (bits[:-1, 3] != bits[1:, 1])),
-                               self.n_segments - 1)
+        self.loose = loose_segments(segs)
 
     def crossings(self) -> np.ndarray:
         return self._crossings
-
-    def at_ends(self, per_vertex: np.ndarray) -> np.ndarray:
-        """Each segment's end-vertex entry of per_vertex, indexed by vertex."""
-        n = self.n_segments
-        out = per_vertex[1:n + 1].copy()
-        out[self.loose] = per_vertex[n:n + self.loose.size]
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +247,9 @@ def _spans(segs, o, index: SegmentIndex):
         np.arctan2(loose[:, 1] - o[1], loose[:, 0] - o[0]),
         np.arctan2(crossings[:, 1] - o[1], crossings[:, 0] - o[0])]), TWO_PI)
     events, rank = np.unique(angles, return_inverse=True)
-    flip = np.mod(index.at_ends(angles) - angles[:n], TWO_PI) > math.pi
+    flip = np.mod(vertex_ends(angles, index.loose, n) - angles[:n], TWO_PI) > math.pi
     lo = rank[:n]
-    hi = index.at_ends(rank)
+    hi = vertex_ends(rank, index.loose, n)
     lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
     wrap = hi < lo
     starts = np.concatenate([lo, np.zeros(np.count_nonzero(wrap), dtype=lo.dtype)])
@@ -306,11 +297,12 @@ def _cull_bound(segs, o, dmin, lengths, num) -> tuple[np.ndarray, np.ndarray]:
     so ub = far (1 + x); no |o|_inf term, as far and t both come from a - o.
     ub = inf where x >= 1, or where lb <= EPS_GEOM (t may count as a miss).
     """
-    # kappa = far * |e| / |num|, as |num| / |e| is the distance to the line.
+    # kappa = far * |e| / |num|, as |num| / |e| is the distance to the line;
+    # a zero or subnormal num makes it inf, and such a segment is never culled.
     far = np.maximum(np.hypot(segs[:, 0] - o[0], segs[:, 1] - o[1]),
                      np.hypot(segs[:, 2] - o[0], segs[:, 3] - o[1]))
     c_eps = _CULL_C * np.finfo(float).eps
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         x = c_eps * (far * lengths / np.abs(num))
     lb = dmin * (1.0 - x) - c_eps * float(np.abs(o).max())
     return lb, np.where((x < 1.0) & (lb > EPS_GEOM), far * (1.0 + x), np.inf)
@@ -501,13 +493,18 @@ def visible_set(curve: CurveApprox, x,
         t = num[parent] / (c * ey[parent] - s * ex[parent])
         return o[0] + t * c, o[1] + t * s
 
-    x0, y0 = line_hit(kc[run_starts])
-    x1, y1 = line_hit(kc[run_ends] + 1)
+    # An end ray along its winner's line (a zero denominator: x on that line
+    # up to rounding) sees the winner edge-on; its hit is +-inf or nan, and
+    # the run's piece, which has no length, is dropped by the finite test.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x0, y0 = line_hit(kc[run_starts])
+        x1, y1 = line_hit(kc[run_ends] + 1)
+        dx, dy = x1 - x0, y1 - y0
     # math.hypot, not np.hypot, which can differ in the last bit and so
     # change total_length.
-    piece_len = np.fromiter(map(math.hypot, (x1 - x0).tolist(), (y1 - y0).tolist()),
+    piece_len = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()),
                             float, parent.size)
-    keep = piece_len > EPS_GEOM
+    keep = np.isfinite(piece_len) & (piece_len > EPS_GEOM)
     parent, x0, y0, x1, y1, piece_len = (
         a[keep] for a in (parent, x0, y0, x1, y1, piece_len))
     # Stable, and -0.0 ties 0.0, as in a sort of (parent, start, end) tuples.

@@ -303,9 +303,9 @@ def test_generate_refuses_what_its_family_does_not_read(spec, key):
     "make, digest",
     [
         (lambda: koch_generalized(1.5, 4),
-         "9b0e77765e646030c8c95aac0ea7b11a913c7fa4dbed5fc01af831d272709573"),
+         "b71b066311265e3e7253b705772f7baa0ce332b231c21ffe5101517fc14654ca"),
         (lambda: quasicircle(3, 0.6, 6),
-         "b3dcb575199eb2c4d1f5ea0054316c0a2bef69adbe8f06be854fd34bcf9e0341"),
+         "9d5fc1781c99ae9df89a38b69e37c044cf97217afac818bd06b510b9271deeea"),
     ],
     ids=["koch", "quasicircle"],
 )
@@ -326,9 +326,13 @@ def test_curve_json_round_trip(tmp_path, koch5):
 
 def test_curve_json_has_exactly_documented_keys(circle_1024):
     doc = json.loads(curve_to_json(circle_1024))
-    assert sorted(doc) == ["min_seg_len", "segments", "spec", "theoretical_dim"]
-    assert len(doc["segments"]) == circle_1024.n_segments
-    assert all(len(row) == 4 for row in doc["segments"])
+    assert sorted(doc) == ["loose", "min_seg_len", "spec", "theoretical_dim",
+                           "vertices"]
+    # A closed chain: n starts, then the end of the last segment.
+    n = circle_1024.n_segments
+    assert doc["loose"] == [n - 1]
+    assert len(doc["vertices"]) == 2 * (n + 1)
+    assert all(type(v) in (int, float) for v in doc["vertices"])
 
 
 def test_curve_json_point_cloud_round_trip():
@@ -351,12 +355,18 @@ AWKWARD = [-0.0, 5e-324, 1e16, 1.0, math.pi, -1.5e-300, 0.1, -123456789.125,
 
 def test_curve_json_rows_match_per_coordinate_format():
     rows = np.array(AWKWARD).reshape(-1, 4)
-    soup = from_segments(np.vstack([rows, rows[::-1, ::-1]]))
-    want = ",".join(
-        "[" + ",".join(fractals._fnum(v) for v in row) + "]"
-        for row in soup.segments
-    )
-    assert curve_to_json(soup).endswith(f"\"segments\":[{want}]}}")
+    pts = np.array(AWKWARD).reshape(-1, 2)
+    chain = np.column_stack([pts[:-1], pts[1:]])
+    soup = from_segments(np.vstack([rows, chain, rows[::-1, ::-1]]))
+    segs = soup.segments
+    n = soup.n_segments
+    loose = [i for i in range(n - 1)
+             if segs[i, 2:4].tobytes() != segs[i + 1, 0:2].tobytes()] + [n - 1]
+    assert len(loose) < n
+    table = [*segs[:, 0:2].ravel(), *segs[loose, 2:4].ravel()]
+    want = ",".join(fractals._fnum(v) for v in table)
+    assert curve_to_json(soup).endswith(
+        f"\"vertices\":[{want}],\"loose\":[{','.join(map(str, loose))}]}}")
     back = curve_from_json(curve_to_json(soup))
     assert back.segments.tobytes() == soup.segments.tobytes()
 
@@ -382,9 +392,88 @@ def test_curve_json_rejects_non_finite_coordinates(bad):
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_curve_json_reader_rejects_non_finite_coordinates(bad):
     text = curve_to_json(polyline([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)]))
-    assert text.endswith("[1,0,2,1]]}")
-    with pytest.raises(ValueError, match="non-finite"):
-        curve_from_json(text.replace("[1,0,2,1]", f"[1,0,2,{bad}]"))
+    assert text.endswith("\"vertices\":[0,0,1,0,2,1],\"loose\":[1]}")
+    with pytest.raises(ValueError, match="vertices must be finite"):
+        curve_from_json(text.replace("[0,0,1,0,2,1]", f"[0,0,1,0,2,{bad}]"))
+
+
+@pytest.mark.parametrize(
+    "table, match",
+    [
+        ("[0,0,1,0,2,true],\"loose\":[1]", "vertices must be"),
+        ("[0,0,1,0,2,1],\"loose\":[true]", "loose must be"),
+        ("[0,0,1,0,2,1],\"loose\":[1.0]", "loose must be"),
+        ("[0,0,1,0,2,1],\"loose\":[-0]", "loose must be"),
+    ],
+    ids=["bool-vertex", "bool-loose", "float-loose", "negative-zero-loose"],
+)
+def test_curve_json_reader_refuses_bools_and_non_integers(table, match):
+    # true == 1 and 1.0 == 1, so each edit would decode to the original curve.
+    text = curve_to_json(polyline([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)]))
+    with pytest.raises(ValueError, match=match):
+        curve_from_json(text.replace("[0,0,1,0,2,1],\"loose\":[1]", table))
+
+
+def _assert_round_trips(curve):
+    text = curve_to_json(curve)
+    back = curve_from_json(text)
+    assert back.segments.tobytes() == curve.segments.tobytes()
+    assert curve_to_json(back) == text
+    return json.loads(text)
+
+
+# One small curve of each kind in FAMILIES.
+SMALL_SPECS = [
+    CurveSpec("koch", 1.5, 3),
+    CurveSpec("quasicircle", None, 4, 2),
+    CurveSpec("circle", params={"n": 16}),
+    CurveSpec("polyline", params={"points": [0, 0, 1, 0, 1, 1, 0, 0]}),
+    CurveSpec("cantor_cross", None, 2),
+]
+
+
+def test_small_specs_cover_every_family():
+    assert sorted(spec.kind for spec in SMALL_SPECS) == sorted(fractals.FAMILIES)
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda spec: spec.kind)
+def test_curve_file_round_trips_every_family(spec):
+    curve = generate(spec)
+    doc = _assert_round_trips(curve)
+    n = curve.n_segments
+    if curve.is_point_cloud:
+        assert doc["loose"] == list(range(n))
+        assert len(doc["vertices"]) == 4 * n
+    else:
+        assert doc["loose"] == [n - 1]
+        assert len(doc["vertices"]) == 2 * (n + 1)
+
+
+def test_curve_file_keeps_a_negative_zero_junction_loose():
+    # -0.0 == 0.0, but the files keep bits, so the junction is a break.
+    soup = from_segments([[0.0, 0.0, 1.0, -0.0], [1.0, 0.0, 2.0, 1.0]])
+    doc = _assert_round_trips(soup)
+    assert doc["loose"] == [0, 1]
+
+
+@given(
+    st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+             min_size=2, max_size=30),
+    st.sets(st.integers(0, 28)),
+    st.data(),
+)
+def test_curve_file_round_trips_chains_broken_anywhere(points, breaks, data):
+    segs = np.array([[*a, *b] for a, b in zip(points, points[1:])])
+    n = segs.shape[0]
+    for i in sorted(b for b in breaks if b < n - 1):
+        segs[i + 1, 0:2] = data.draw(st.tuples(st.floats(-1e6, 1e6),
+                                               st.floats(-1e6, 1e6)))
+    curve = from_segments(segs)
+    doc = _assert_round_trips(curve)
+    assert doc["loose"] == [i for i in range(n - 1)
+                            if segs[i, 2:4].tobytes() != segs[i + 1, 0:2].tobytes()
+                            ] + [n - 1]
+    assert len(doc["vertices"]) == 2 * (n + len(doc["loose"]))
 
 
 def test_from_segments_soup():

@@ -453,7 +453,9 @@ def test_cli_generate_dim_energy_pipeline(tmp_path, capsys):
 def test_cli_dim_refuses_a_non_finite_curve_file(tmp_path, capsys):
     path = tmp_path / "curve.json"
     text = curve_to_json(polyline([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)]))
-    path.write_text(text.replace("[1,0,2,1]", "[1,0,2,NaN]"), encoding="utf-8")
+    assert text.endswith("\"vertices\":[0,0,1,0,2,1],\"loose\":[1]}")
+    path.write_text(text.replace("[0,0,1,0,2,1]", "[0,0,1,0,2,NaN]"),
+                    encoding="utf-8")
     assert cli.main(["dim", "--curve", str(path)]) == 1
     assert "non-finite" in capsys.readouterr().err
 
@@ -523,24 +525,40 @@ def test_cli_generate_refuses_missing_or_ignored_flags(tmp_path, capsys, argv,
 @pytest.mark.parametrize(
     "edit, key",
     [
-        (lambda doc: {}, "segments"),
+        (lambda doc: {}, "spec"),
         (lambda doc: _without(doc, "min_seg_len"), "min_seg_len"),
         (lambda doc: [doc], "JSON object"),
         (lambda doc: {**doc, "theoretical_dim": [1.0]}, "theoretical_dim"),
-        (lambda doc: {**doc, "segments": {"a": 1}}, "segments must be"),
-        (lambda doc: {**doc, "segments": "0,0,1,0"}, "segments must be"),
-        (lambda doc: {**doc, "segments": [[0, 0, 1, 0], [1, 0, 2]]}, "segments must be"),
-        # Twelve numbers that a reshape to rows of 4 would have read as three.
-        (lambda doc: {**doc, "segments": [[0, 0, 1], [0, 1, 0], [1, 0, 2], [1, 1, 3]]},
-         "segments must be"),
+        (lambda doc: {**doc, "vertices": {"a": 1}}, "vertices must be"),
+        (lambda doc: {**doc, "vertices": "0,0,1,0,2,1"}, "vertices must be"),
+        (lambda doc: {**doc, "vertices": [[0, 0], [1, 0], [2, 1]]}, "vertices must be"),
+        # Five numbers, which a reshape to pairs would refuse only by numpy.
+        (lambda doc: {**doc, "vertices": [0, 0, 1, 0, 2]}, "vertices must be x, y pairs"),
+        (lambda doc: {**doc, "vertices": [0, 0], "loose": [0]},
+         "vertices must hold 2 or more points"),
+        (lambda doc: {**doc, "loose": []}, "loose must be"),
+        (lambda doc: {**doc, "vertices": [0, 0, 1, 0, 2, 1, 3, 3], "loose": [1, 1]},
+         "loose must be strictly increasing"),
+        (lambda doc: {**doc, "vertices": [0, 0, 1, 0, 2, 1, 3, 3], "loose": [-1, 1]},
+         "loose must lie in"),
+        (lambda doc: {**doc, "loose": [0]}, "loose must end with n - 1 = 1"),
+        (lambda doc: _without(doc, "vertices"), "vertices"),
+        (lambda doc: _without(doc, "loose"), "loose"),
+        # A file of the old row layout.
+        (lambda doc: {**_without(_without(doc, "vertices"), "loose"),
+                      "segments": [[0, 0, 1, 0], [1, 0, 2, 1]]},
+         "unknown field 'segments'"),
     ],
     ids=["empty-object", "no-min_seg_len", "top-level-list",
-         "theoretical_dim-list", "segments-object", "segments-string",
-         "segments-ragged", "segments-width-3"],
+         "theoretical_dim-list", "vertices-object", "vertices-string",
+         "vertices-nested", "vertices-odd", "vertices-one-point", "loose-empty",
+         "loose-not-increasing", "loose-out-of-range", "loose-last-not-n-1",
+         "no-vertices", "no-loose", "old-segments-layout"],
 )
 def test_cli_refuses_malformed_curve_files(tmp_path, capsys, edit, key):
     path = tmp_path / "curve.json"
     doc = json.loads(curve_to_json(polyline([(0, 0), (1, 0), (2, 1)])))
+    assert (doc["vertices"], doc["loose"]) == ([0, 0, 1, 0, 2, 1], [1])
     path.write_text(json.dumps(edit(doc)))
     assert cli.main(["dim", "--curve", str(path)]) == 1
     assert key in capsys.readouterr().err

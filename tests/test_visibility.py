@@ -435,6 +435,9 @@ def test_first_hits_refuses_a_bound_below_a_hit(koch5):
        scale=st.sampled_from([1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6]),
        x=st.tuples(st.integers(-4, 12), st.integers(-4, 12)),
        far=st.sampled_from([1.0, 1e3, 1e6, 1e9]))
+# The viewpoint (0, 1e-9) lies on the segment's line, but its two endpoint
+# angles differ by rounding, so a ray at a run's end runs along that line.
+@example(curve=from_segments([[1, 2, 2, 3]]), scale=1e-9, x=(0, 2), far=1.0)
 def test_upper_bound_holds_across_scales_and_distances(curve, scale, x, far):
     # Viewpoints on a half grid around the curve, then pushed out to far
     # times as far from the grid's centre (2, 2).
@@ -566,6 +569,10 @@ def test_visible_set_json_keeps_the_piece_object_digests(name):
 # EPS_GEOM, which the filter drops.
 @example(curve=koch_generalized(math.log(4) / math.log(3), 4),
          x=(0.5, math.sqrt(3) / 12))
+# A subnormal offset from the line of segment 0 overflows its cull
+# conditioning number to inf, which must leave that segment unculled.
+@example(curve=from_segments([[0, 0, 0, 1], [0, 1, 4, 3]]),
+         x=(2.225073858507203e-309, 5.470852124823491))
 def test_visible_set_columns_are_sorted_typed_and_exact(curve, x):
     try:
         vs = visible_set(curve, x)
