@@ -12,10 +12,13 @@ the sweep's d_hat), estimates its energy dimension (``energy_dimension(curve)``
 on the default grid), builds its ``SegmentIndex``, then computes one
 ``visible_set`` from the first ring viewpoint of ``plan_viewpoints``
 (seed 0) and one from each of the four viewpoints of a 2x2 grid (the
-``koch-deep`` benchmark's), and prints the wall time of each step and the
-process's ``ru_maxrss`` after it; the grid line gives the median and the
-max of its four calls, as a call's cost depends on the view direction.  The launcher imports neither numpy nor fracvis,
-because a child's ``ru_maxrss`` starts from its launcher's peak.
+``koch-deep`` benchmark's), and prints the wall time of each step, the
+process's ``ru_maxrss`` after it and the minor page faults the step took
+(the ``ru_minflt`` delta of the probing process); the grid line gives the
+median and the max of its four calls, as a call's cost depends on the
+view direction, and the faults of all four.  The launcher imports neither
+numpy nor fracvis, because a child's ``ru_maxrss`` starts from its
+launcher's peak.
 """
 
 from __future__ import annotations
@@ -39,15 +42,25 @@ def _rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _probe(level: int) -> None:
     from fracvis.fractals import koch_generalized, read_curve, write_curve
     from fracvis.harness import ViewpointPlan, plan_viewpoints
     from fracvis.measurelab import box_dimension, energy_dimension
     from fracvis.visibility import SegmentIndex, visible_set
 
+    faults = _minflt()
+
     def report(step: str, t0: float, detail: str) -> None:
+        nonlocal faults
+        now = _minflt()
         print(f"L{level} {step:<14} {time.perf_counter() - t0:8.3f} s "
-              f"rss {_rss_mb():7.1f} MB  {detail}", flush=True)
+              f"rss {_rss_mb():7.1f} MB  minflt {now - faults:7d}  {detail}",
+              flush=True)
+        faults = now
 
     t0 = time.perf_counter()
     curve = koch_generalized(KOCH_DIM, level)
@@ -81,8 +94,8 @@ def _probe(level: int) -> None:
         visible_set(curve, vp, index)
         times.append(time.perf_counter() - t0)
     print(f"L{level} {'  grid median':<14} {statistics.median(times):8.3f} s "
-          f"rss {_rss_mb():7.1f} MB  visible_set from 4 grid viewpoints, "
-          f"max {max(times):.3f} s", flush=True)
+          f"rss {_rss_mb():7.1f} MB  minflt {_minflt() - faults:7d}  "
+          f"visible_set from 4 grid viewpoints, max {max(times):.3f} s", flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:

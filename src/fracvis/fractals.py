@@ -133,8 +133,11 @@ class CurveApprox:
     numbers, and anything else is refused with a ValueError naming
     ``segments``.  ``min_seg_len`` None means the shortest segment's
     length.  ``diam`` and ``is_point_cloud`` are derived from the segments
-    once.  A point cloud's rows are all degenerate (a == b); such curves
-    are rejected by the visibility module but accepted by the measure
+    once: ``diam`` is the :func:`geom.diameter` of the curve's vertex table
+    (the segment starts, then the ends of the :func:`loose_segments`), the
+    same point set as all 2n endpoints, so a chain passes n + 1 points.  A
+    point cloud's rows are all degenerate (a == b); such curves are
+    rejected by the visibility module but accepted by the measure
     estimators.
     """
 
@@ -159,7 +162,7 @@ class CurveApprox:
         if self.min_seg_len is None:
             self.min_seg_len = float(self.lengths().min())
         a, b = self.segments[:, 0:2], self.segments[:, 2:4]
-        self.diam = diameter(np.vstack([a, b]))
+        self.diam = diameter(np.vstack([a, b[loose_segments(self.segments)]]))
         self.is_point_cloud = bool(np.all(a == b))
 
     @property
@@ -495,19 +498,31 @@ def uniform_measure(curve: CurveApprox, n: int) -> DiscreteMeasure:
 
 def sample_arclength(curve: CurveApprox, fractions: np.ndarray) -> np.ndarray:
     """Points at the given arclength fractions (in [0, 1]) along the curve."""
-    return points_at_arclength(curve.segments[:, 0:2], curve.segments[:, 2:4],
-                               curve.lengths(), fractions)
+    return points_at_arclength(arclength_table(curve.segments, curve.lengths()),
+                               fractions)
 
 
-def points_at_arclength(starts: np.ndarray, ends: np.ndarray,
-                        lengths: np.ndarray, fractions) -> np.ndarray:
+def arclength_table(segments: np.ndarray, lengths: np.ndarray) -> tuple:
+    """The table :func:`points_at_arclength` reads, for one segment chain.
+
+    Segment i runs from ``segments[i, 0:2]`` to ``segments[i, 2:4]`` and has
+    length ``lengths[i]``; the segments are laid end to end in index order.
+    The table holds the starts, the ends, the lengths and their cumulative
+    sums from 0.  Callers pass their own lengths so every path keeps its
+    exact rounding, and build the table once for all draws from one chain.
+    """
+    return (segments[:, 0:2], segments[:, 2:4], lengths,
+            np.concatenate([[0.0], np.cumsum(lengths)]))
+
+
+def points_at_arclength(table: tuple, fractions) -> np.ndarray:
     """Points at the given fractions of the total length of a segment chain.
 
-    Segment i runs from ``starts[i]`` to ``ends[i]`` and has length
-    ``lengths[i]``; the segments are laid end to end in index order.
-    Callers pass their own lengths so every path keeps its exact rounding.
+    ``table`` is the chain's :func:`arclength_table`; each point is found
+    by a binary search of its cumulative lengths, so once the table is
+    built, k fractions on n segments cost O(k log n).
     """
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    starts, ends, lengths, cum = table
     targets = np.asarray(fractions, dtype=float) * cum[-1]
     idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0,
                   lengths.size - 1)

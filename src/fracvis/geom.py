@@ -327,6 +327,15 @@ def point_segments_dist(p, segs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Most expanded items (sweep candidates or window pairs) held at once.
+# koch-ring's speed leans on this size through glibc's dynamic mmap
+# threshold, not by design: the crossing search's first full pair block
+# (2 MiB; Koch L7 has 354,063 x-overlap pairs) lifts the threshold to about
+# 2 MiB and the trim threshold to about 4 MiB, so the sweep's 128 KiB
+# per-segment temporaries are then reused from the heap.  Smaller blocks
+# (1 << 16 here, or a cell-bucketed crossing search that is 2-2.5x faster
+# at L8-L10) took its minor faults per sample from 18k to 110k and its
+# wall time up 15-18% on a 2-core host; fixed mallopt thresholds slowed
+# other layers (1 MiB / 4 MiB) or raised peak RSS (16-32 MiB).
 _CHUNK = 1 << 18
 
 

@@ -9,6 +9,7 @@ Two estimators, both reporting goodness of fit:
   order along each segment.  Halving eps is exact, so floor(x / eps_{k+1})
   >> 1 == floor(x / eps_k), and coarse grid lines are fine ones at the same
   crossing t: each coarser count shifts the distinct cells right one bit.
+  Each scale counts its cells from one sorted int64 key per cell.
 * ``energy_dimension``: the largest exponent s whose discrete Riesz energy
   stays bounded as the sample grows (growth slope below
   ``ENERGY_SLOPE_THRESHOLD``), interpolated at the crossing.  Each energy
@@ -34,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractals import CurveApprox, DiscreteMeasure, sample_arclength
+from .fractals import (CurveApprox, DiscreteMeasure, arclength_table,
+                       points_at_arclength)
 from .geom import (
     CHECK_SLACK,
     Annulus,
@@ -313,8 +315,8 @@ def _band_distances(pts: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.concatenate(kept_d)[np.lexsort((j, i))]
 
 
-def _energy_profile(curve: CurveApprox, n: int, s_grid: np.ndarray,
-                    seed: int, diam: float) -> np.ndarray:
+def _energy_profile(curve: CurveApprox, table, n: int, s_grid: np.ndarray,
+                    seed: int) -> np.ndarray:
     """Band-restricted Riesz energies of n-atom samples, one per exponent.
 
     Atoms are drawn independently and uniformly in arclength (uniformly from
@@ -327,21 +329,26 @@ def _energy_profile(curve: CurveApprox, n: int, s_grid: np.ndarray,
     terms are heavy-tailed, so fitted slopes stay biased at any feasible n.
     Averaging over independent draws tames the remaining count noise.
 
+    ``table`` is the curve's :func:`fractals.arclength_table` (None for a
+    point cloud), built once by the caller for all its draws; a draw maps
+    its fractions through it exactly as :func:`fractals.sample_arclength`
+    does, bit for bit.
+
     The band holds a few pairs per atom, so ``_band_distances`` finds them
     without computing all n(n-1)/2 distances and returns them in row-major
     (i, j) order, which keeps every energy bit-for-bit equal to that of an
     all-pairs scan of the upper triangle.
     """
-    lo = diam / n
-    hi = _ENERGY_BAND_RATIO * diam / n
-    cloud = curve.segments[:, 0:2] if curve.is_point_cloud else None
+    lo = curve.diam / n
+    hi = _ENERGY_BAND_RATIO * curve.diam / n
+    cloud = curve.segments[:, 0:2]
     total = np.zeros(s_grid.size)
     for r in range(_ENERGY_DRAWS):
         rng = np.random.default_rng([seed, n, r])
-        if cloud is not None:
+        if table is None:
             pts = cloud[rng.integers(0, cloud.shape[0], size=n)]
         else:
-            pts = sample_arclength(curve, rng.random(n))
+            pts = points_at_arclength(table, rng.random(n))
         dists = _band_distances(pts, lo, hi)
         if dists.size:
             # Factor 2: each unordered pair appears twice in the double sum.
@@ -373,9 +380,11 @@ def energy_dimension(curve: CurveApprox, seed: int = 0) -> DimEstimate:
     if not (curve.diam > 0.0):
         raise ValueError("degenerate curve: zero diameter")
 
+    table = (None if curve.is_point_cloud
+             else arclength_table(curve.segments, curve.lengths()))
     energies = np.empty((n_grid.size, s_grid.size))
     for i, n in enumerate(n_grid):
-        energies[i] = _energy_profile(curve, int(n), s_grid, seed, curve.diam)
+        energies[i] = _energy_profile(curve, table, int(n), s_grid, seed)
 
     slopes = np.empty(s_grid.size)
     rsq = np.empty(s_grid.size)
@@ -438,6 +447,36 @@ def _distinct_cells(cells: np.ndarray) -> np.ndarray:
     return cells[new]
 
 
+# Cells pack into one int64 key while their span product stays below this.
+_KEY_LIMIT = 2**62
+
+
+def _distinct_keyed(cells: np.ndarray) -> np.ndarray:
+    """``_distinct_cells(cells)``, from one sorted int64 key per cell.
+
+    With (x0, y0) the least coordinates and w = ymax - y0 + 1, the key
+    (x - x0) * w + (y - y0) orders cells as the lexicographic order of
+    their rows, so one stable argsort of the keys and a comparison of
+    neighbours find the distinct cells.  When the span product
+    (xmax - x0 + 1) * w reaches ``_KEY_LIMIT`` a key might not fit, and
+    ``_distinct_cells`` sorts the rows instead.
+    """
+    # Column by column: a reduction over axis 0 of the rows is ten times slower.
+    x, y = cells[:, 0], cells[:, 1]
+    x0, y0 = x.min(), y.min()
+    w = int(y.max()) - int(y0) + 1
+    if (int(x.max()) - int(x0) + 1) * w >= _KEY_LIMIT:
+        return _distinct_cells(cells)
+    keys = (x - x0) * w + (y - y0)
+    # The stable argsort is lexsort's own kernel; np.sort and a decode of
+    # the keys would page in two more and add about 0.3 MB to peak RSS.
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return cells[order[new]]
+
+
 def _cells_of_segments(segs: np.ndarray, eps: float) -> np.ndarray:
     """Grid cells met by the segments (origin-anchored grid), with repeats.
 
@@ -463,28 +502,32 @@ def _cells_of_segments(segs: np.ndarray, eps: float) -> np.ndarray:
     b -= (d > 0) & (q == b * eps)
     a -= (d < 0) & (p == a * eps)
     # The grid lines crossed: the x-lines of every segment, then the y-lines.
-    n_cross = np.abs(b - a)
-    counts = n_cross.T.ravel()
+    # Crossing-sized arrays are updated in place where they can be, so few
+    # of them are alive at once.
+    disp = b - a
+    counts = np.abs(disp).T.ravel()
     lo = (np.minimum(a, b) + 1).T.ravel()
-    line = _ragged_ranges(lo, lo + counts)
     seg = np.repeat(np.tile(np.arange(n), 2), counts)
     axis = np.repeat(np.repeat([0, 1], n), counts)
-    t = (line * eps - p[seg, axis]) / d[seg, axis]
+    t = _ragged_ranges(lo, lo + counts) * eps
+    t -= p[seg, axis]
+    t /= d[seg, axis]
     order = np.lexsort((t, seg))
     seg, axis, t = seg[order], axis[order], t[order]
+    del order
     # Walk each segment from its start cell: a global running sum of the
-    # steps, less its value before the segment's first crossing.
-    steps = np.zeros((seg.size, 2), dtype=np.int64)
-    steps[np.arange(seg.size), axis] = np.sign(d[seg, axis])
-    walk = np.cumsum(steps, axis=0)
-    per_seg = n_cross.sum(axis=1)
-    first = np.cumsum(per_seg) - per_seg
-    cells = a[seg] + walk - (walk - steps)[first[seg]]
+    # steps, plus the segment's start cell less the sum before its first
+    # crossing.  A segment's steps sum to b - a, so that sum is the
+    # displacement of all the segments before it.
+    walk = np.zeros((seg.size, 2), dtype=np.int64)
+    walk[np.arange(seg.size), axis] = np.sign(d)[seg, axis]
+    walk = np.cumsum(walk, axis=0)
+    walk += (a - (np.cumsum(disp, axis=0) - disp))[seg]
     # At a grid corner the cell between the x- and the y-step is met in a
     # single point only.
     keep = np.ones(seg.size, dtype=bool)
     keep[:-1] = (seg[:-1] != seg[1:]) | (t[:-1] != t[1:]) | (axis[:-1] == axis[1:])
-    return np.vstack([a, cells[keep]])
+    return np.vstack([a, walk[keep]])
 
 
 def dyadic_scales(scale_window: tuple[float, float],
@@ -527,8 +570,10 @@ def box_dimension(data, scale_window: tuple[float, float] | None = None,
     the least-squares slope of log N(eps) against log(1/eps).  The input is
     rasterised once, at the finest eps (exactly for curves, by occupied cell
     for points); halving a normal eps is exact, so each coarser N(eps)
-    counts the distinct cells after one more right shift.  Cells must be
-    exact int64, so coordinates must be finite with |x| < 2**62 eps.
+    counts the distinct cells after one more right shift.  Each count
+    sorts one int64 key per cell (``_distinct_keyed``), or the cell rows
+    when the cells span too much for a key.  Cells must be exact int64, so
+    coordinates must be finite with |x| < 2**62 eps.
     ``scale_window`` defaults to ``default_scale_window`` for curves and
     must be given for raw points.
     """
@@ -555,7 +600,7 @@ def box_dimension(data, scale_window: tuple[float, float] | None = None,
              else _cells_of_segments(coords, eps))
     counts = np.empty(scales.size)
     for k in range(scales.size - 1, -1, -1):
-        cells = _distinct_cells(cells)
+        cells = _distinct_keyed(cells)
         counts[k] = cells.shape[0]
         cells = cells >> 1
     slope, _, stderr, r2 = fit_loglog(1.0 / scales, counts)

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom
-from .fractals import (CurveApprox, DiscreteMeasure, _fnum, loose_segments,
-                       points_at_arclength, vertex_ends)
+from .fractals import (CurveApprox, DiscreteMeasure, _fnum, arclength_table,
+                       loose_segments, points_at_arclength, vertex_ends)
 from .geom import (
     EPS_GEOM,
     TWO_PI,
@@ -560,7 +560,7 @@ def sample_visible(vs: VisibleSet, n: int):
         raise ValueError("need at least one sample")
     if not len(vs.segments):
         raise ValueError("empty visible set has nothing to sample")
-    pts = points_at_arclength(vs.segments[:, 0:2], vs.segments[:, 2:4], vs.lengths,
+    pts = points_at_arclength(arclength_table(vs.segments, vs.lengths),
                               (np.arange(n) + 0.5) / n)
     return pts, DiscreteMeasure(pts, np.full(n, 1.0 / n))
 

@@ -28,6 +28,7 @@ from fracvis.fractals import (
     uniform_measure,
     write_curve,
 )
+from fracvis.geom import diameter
 
 KOCH_CLASSIC = math.log(4) / math.log(3)
 
@@ -454,6 +455,22 @@ def test_curve_file_keeps_a_negative_zero_junction_loose():
     soup = from_segments([[0.0, 0.0, 1.0, -0.0], [1.0, 0.0, 2.0, 1.0]])
     doc = _assert_round_trips(soup)
     assert doc["loose"] == [0, 1]
+
+
+_CLOUD = np.random.default_rng(5).normal(size=(50, 2))
+
+
+@pytest.mark.parametrize("curve", [
+    *(generate(spec) for spec in SMALL_SPECS),
+    koch_generalized(1.5, 7),
+    from_segments([[-0.0, 0.0, 1.0, -0.0], [1.0, 0.0, 2.0, 1.0],
+                   [2.0, 1.0, -0.0, -0.0], [0.0, 0.0, -0.0, 2.0]]),
+    from_segments(np.tile(_CLOUD, 2)),
+], ids=[spec.kind for spec in SMALL_SPECS] + ["koch-L7", "negative-zero-soup", "cloud"])
+def test_diam_of_vertex_table_equals_diam_of_all_endpoints(curve):
+    # The vertex table is the same point set as the 2n endpoints.
+    ends = np.vstack([curve.segments[:, 0:2], curve.segments[:, 2:4]])
+    assert curve.diam.hex() == diameter(ends).hex()
 
 
 @given(

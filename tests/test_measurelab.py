@@ -1,5 +1,6 @@
 """Mass profiles, energies, dimension estimators, and the constants chain."""
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -14,11 +15,16 @@ from hypothesis import strategies as st
 
 from fracvis import geom, measurelab
 from fracvis.fractals import (
+    FAMILIES,
+    CurveSpec,
     DiscreteMeasure,
+    arclength_table,
     cantor_cross,
     circle,
     from_segments,
+    generate,
     koch_generalized,
+    points_at_arclength,
     polyline,
     quasicircle,
     sample_arclength,
@@ -387,6 +393,120 @@ def test_box_dimension_refuses_cells_that_cannot_be_exact(bad):
     assert box_dimension(pts, scale_window=(1e-3, 0.25)).n_scales == 8
 
 
+def _cell_pyramid(cells, n, distinct):
+    """The distinct cells of each of n scales, finest first, shifting by one bit."""
+    out = []
+    for _ in range(n):
+        cells = distinct(cells)
+        out.append(cells)
+        cells = cells >> 1
+    return out
+
+
+def _assert_keyed_counts_match(cells, n):
+    want = _cell_pyramid(cells, n, measurelab._distinct_cells)
+    got = _cell_pyramid(cells, n, measurelab._distinct_keyed)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+_CELL = st.integers(-2**62, 2**62 - 1)
+
+
+@given(
+    base=st.tuples(_CELL, _CELL),
+    offsets=st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+                     min_size=1, max_size=60),
+    wide=st.lists(st.tuples(_CELL, _CELL), max_size=4),
+)
+@example(base=(5, -7), offsets=[(0, 0)], wide=[])
+@example(base=(0, 0), offsets=[(0, 0), (0, 0), (0, 0)], wide=[])
+@example(base=(-2**62, -2**62), offsets=[(0, 0)], wide=[(2**62 - 1, 2**62 - 1)])
+def test_keyed_cell_counts_match_row_sort(base, offsets, wide):
+    # Clusters around any base (negative cells, repeats, a single cell),
+    # plus a few far cells whose spans put a key past the limit until
+    # enough shifts bring the span product back under it.
+    near = np.clip(np.add(base, offsets), -2**62, 2**62 - 1)
+    cells = np.vstack([near, np.array(wide, dtype=np.int64).reshape(-1, 2)])
+    _assert_keyed_counts_match(cells, 64)
+
+
+@pytest.mark.parametrize("x_span, y_span, keyed", [
+    (1, 2**62 - 1, True),
+    (3, (2**62 - 1) // 3, True),
+    (2, 2**61, False),
+    (2**31, 2**31, False),
+])
+def test_keyed_cells_fall_back_at_the_key_limit(x_span, y_span, keyed):
+    # The span product (xmax - x0 + 1) * w either side of 2**62.
+    x0, y0 = -2**61, -5
+    cells = np.array([[x0, y0], [x0 + x_span - 1, y0 + y_span - 1],
+                      [x0, y0 + y_span - 1], [x0, y0]], dtype=np.int64)
+    with mock.patch.object(measurelab, "_distinct_cells",
+                           wraps=measurelab._distinct_cells) as rows:
+        got = measurelab._distinct_keyed(cells)
+    assert rows.called is not keyed
+    assert np.array_equal(got, measurelab._distinct_cells(cells))
+
+
+def test_pinned_far_point_counts_both_with_and_without_keys():
+    # The 2**62 eps point of the refusal test spans too much for a key at
+    # the finest scales, and not after a few shifts.
+    pts = np.array([[0.1, 0.2], [0.5, 0.7], [0.0, 1.0]])
+    finest = dyadic_scales((1e-3, 0.25))[-1]
+    pts[2, 0] = np.nextafter(2.0**62 * finest, 0.0)
+    cells = np.floor(pts / finest).astype(np.int64)
+    _assert_keyed_counts_match(cells, 8)
+    with mock.patch.object(measurelab, "_distinct_cells",
+                           wraps=measurelab._distinct_cells) as rows:
+        box_dimension(pts, scale_window=(1e-3, 0.25))
+    assert 0 < rows.call_count < 8
+
+
+# One small curve of each kind in FAMILIES, some at negative coordinates.
+_FAMILY_SPECS = [
+    CurveSpec("koch", 1.5, 4),
+    CurveSpec("quasicircle", None, 6, 2),
+    CurveSpec("circle", params={"cx": -3.0, "cy": -2.0, "n": 200}),
+    CurveSpec("polyline", params={"points": [-1, -1, 1, 0, 1, 1, 0, -2]}),
+    CurveSpec("cantor_cross", None, 3),
+]
+
+
+@pytest.mark.parametrize("spec", _FAMILY_SPECS, ids=lambda spec: spec.kind)
+def test_keyed_counts_match_row_sort_on_every_family(spec):
+    assert sorted(s.kind for s in _FAMILY_SPECS) == sorted(FAMILIES)
+    curve = generate(spec)
+    window = (curve.diam / 512.0, curve.diam / 4.0)
+    scales = dyadic_scales(window)
+    coords = curve.segments[:, 0:2] if curve.is_point_cloud else curve.segments
+    cells = (np.floor(coords / scales[-1]).astype(np.int64) if curve.is_point_cloud
+             else _cells_of_segments(coords, scales[-1]))
+    _assert_keyed_counts_match(cells, scales.size)
+    with mock.patch.object(measurelab, "fit_loglog",
+                           wraps=measurelab.fit_loglog) as fit:
+        box_dimension(curve, scale_window=window)
+    want = _cell_pyramid(cells, scales.size, measurelab._distinct_cells)
+    assert fit.call_args.args[1].tolist() == [len(c) for c in want[::-1]]
+
+
+def test_energy_dimension_is_pinned_on_a_quasicircle():
+    # Measured before the arclength table was hoisted out of the draws.
+    value = energy_dimension(quasicircle(3, 0.6, 8), seed=1).value
+    assert value == 1.3986888899432377
+
+
+def test_arclength_table_draw_matches_sample_arclength():
+    # Digest of sample_arclength's points before the table was hoisted.
+    curve = quasicircle(3, 0.6, 8)
+    fractions = np.random.default_rng(7).random(2048)
+    got = points_at_arclength(arclength_table(curve.segments, curve.lengths()),
+                              fractions)
+    assert got.tobytes() == sample_arclength(curve, fractions).tobytes()
+    assert hashlib.sha256(got.tobytes()).hexdigest() == (
+        "df509be65d0ae6a4c04aa93626f9670145d35ad47847a8841384a6e9d053d626")
+
+
 def test_box_dimension_rejects_bad_windows(unit_segment):
     with pytest.raises(ValueError):
         box_dimension(unit_segment, scale_window=(0.5, 0.5))
@@ -446,9 +566,11 @@ _BAND_KINDS = st.sampled_from(["curve", "cloud", "vertical", "lattice"])
 def test_energy_profile_matches_all_pairs_scan(kind, seed, n):
     curve = _band_case(kind, seed, n)
     s_grid = np.array([0.5, 1.0, 1.5])
-    got = _energy_profile(curve, n, s_grid, seed, curve.diam)
+    table = (None if curve.is_point_cloud
+             else arclength_table(curve.segments, curve.lengths()))
+    got = _energy_profile(curve, table, n, s_grid, seed)
     with mock.patch.object(measurelab, "_band_distances", _scan_band_distances):
-        want = _energy_profile(curve, n, s_grid, seed, curve.diam)
+        want = _energy_profile(curve, table, n, s_grid, seed)
     assert np.array_equal(got, want)
 
 
