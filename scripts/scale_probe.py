@@ -11,7 +11,8 @@ both times and the file's size), box-counts it (``box_dimension(curve)``,
 the sweep's d_hat), estimates its energy dimension (``energy_dimension(curve)``
 on the default grid), builds its ``SegmentIndex``, then computes one
 ``visible_set`` from the first ring viewpoint of ``plan_viewpoints``
-(seed 0) and one from each of the four viewpoints of a 2x2 grid (the
+(seed 0), with the share of segments in the blocks that survive its block
+pass, and one from each of the four viewpoints of a 2x2 grid (the
 ``koch-deep`` benchmark's), and prints the wall time of each step, the
 process's ``ru_maxrss`` after it and the minor page faults the step took
 (the ``ru_minflt`` delta of the probing process); the grid line gives the
@@ -50,7 +51,7 @@ def _probe(level: int) -> None:
     from fracvis.fractals import koch_generalized, read_curve, write_curve
     from fracvis.harness import ViewpointPlan, plan_viewpoints
     from fracvis.measurelab import box_dimension, energy_dimension
-    from fracvis.visibility import SegmentIndex, visible_set
+    from fracvis.visibility import SegmentIndex, _block_cull, visible_set
 
     faults = _minflt()
 
@@ -86,8 +87,13 @@ def _probe(level: int) -> None:
     vp = plan_viewpoints(curve, ViewpointPlan(mode="ring", count=1), SEED)[0]
     t0 = time.perf_counter()
     vs = visible_set(curve, vp, index)
-    report("visible_set", t0, f"{len(vs.segments)} pieces from "
-                              f"({vp[0]:.4f}, {vp[1]:.4f})")
+    elapsed = time.perf_counter() - t0
+    # The block pass runs again for its count, outside the timed call.
+    kept = _block_cull(index, vp)
+    kept = index.n_segments if kept is None else kept.size
+    report("visible_set", time.perf_counter() - elapsed,
+           f"{len(vs.segments)} pieces from ({vp[0]:.4f}, {vp[1]:.4f}), "
+           f"{100.0 * kept / index.n_segments:.1f}% of segments kept by the block pass")
     times = []
     for vp in plan_viewpoints(curve, ViewpointPlan(mode="grid", count=4), SEED):
         t0 = time.perf_counter()

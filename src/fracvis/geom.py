@@ -4,9 +4,10 @@ Everything downstream (curve generation, the visibility sweep, the measure
 diagnostics) reduces to a small vocabulary defined here: points, annuli
 ``A(x, d-, d+)``, open cones ``V(x, u, sigma)``, the subtended-angle measure
 ``arc_diam``, the angle-ratio and intercone inequalities, hit parameters of
-rays against segments, point-to-segment distances, the bounded expansion of
-ragged index ranges, the one sorted-window pair search built on it, and the
-exact diameter of a point set.
+rays against segments, point-to-segment distances, bounding boxes of
+segment blocks, the bounded expansion of ragged index ranges, the one
+sorted-window pair search built on it, and the exact diameter of a point
+set.
 
 Conventions
 -----------
@@ -323,19 +324,82 @@ def point_segments_dist(p, segs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Bounding boxes of segment blocks
+# ---------------------------------------------------------------------------
+
+# Segments per block of a box table.  With blocks of 8, 16, 32 and 64, the
+# visibility block pass kept a median 19, 23, 30 and 37% of the segments of
+# Koch d=1.5 L7 from 100 ring viewpoints, and visible_set took 3.7, 3.5, 3.7
+# and 4.0 ms each; from the 2x2 grid on L8, 12.4, 10.1, 10.0 and 10.9 ms.
+_BLOCK = 16
+
+
+def segment_boxes(segs: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bounding boxes of the segment blocks, as rows (xmin, ymin, xmax, ymax).
+
+    Block i holds the rows edges[i] up to edges[i + 1]; edges runs from 0
+    to len(segs).
+    """
+    starts = edges[:-1]
+    return np.column_stack([
+        np.minimum.reduceat(np.minimum(segs[:, 0], segs[:, 2]), starts),
+        np.minimum.reduceat(np.minimum(segs[:, 1], segs[:, 3]), starts),
+        np.maximum.reduceat(np.maximum(segs[:, 0], segs[:, 2]), starts),
+        np.maximum.reduceat(np.maximum(segs[:, 1], segs[:, 3]), starts)])
+
+
+def box_dists(p, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(near, far): the distances from p to the nearest and the farthest point of each box.
+
+    near is 0 exactly where p lies in the closed box, as the sign of each
+    rounded difference is exact.
+    """
+    o = _xy(p)
+    lo = boxes[:, 0:2] - o
+    hi = boxes[:, 2:4] - o
+    gap = np.maximum(np.maximum(lo, -hi), 0.0)
+    reach = np.maximum(-lo, hi)
+    return np.hypot(gap[:, 0], gap[:, 1]), np.hypot(reach[:, 0], reach[:, 1])
+
+
+def nearest_dist(p, segs: np.ndarray, edges: np.ndarray, boxes: np.ndarray,
+                 r: float) -> float:
+    """min(point_segments_dist(p, segs)) where that is <= r; else some value > r.
+
+    Only the blocks (``segment_boxes(segs, edges)``) whose boxes may hold a
+    segment within r are measured; inf where none may.  point_segments_dist
+    clips its projection parameter to [0, 1], so the exact point it forms
+    lies on the segment and in its box; forming it moves it by at most
+    2.6 eps M, M the largest coordinate in size, and the difference from p
+    and its hypot lose 1.5 eps relatively.  The box's near distance is high
+    by at most 2 eps relatively.  So every computed segment distance is at
+    least near (1 - c eps) - c eps max(|p|_inf, M), with c = 128, and a box
+    where that exceeds r holds no segment within r.
+    """
+    c_eps = 128 * np.finfo(float).eps
+    scale = max(float(np.abs(_xy(p)).max()), float(np.abs(boxes).max()))
+    near, _ = box_dists(p, boxes)
+    close = near * (1.0 - c_eps) - c_eps * scale <= r
+    ids = _ragged_ranges(edges[:-1][close], edges[1:][close])
+    return float(point_segments_dist(p, segs[ids]).min(initial=np.inf))
+
+
+# ---------------------------------------------------------------------------
 # Ragged ranges and their expansion budget
 # ---------------------------------------------------------------------------
 
 # Most expanded items (sweep candidates or window pairs) held at once.
-# koch-ring's speed leans on this size through glibc's dynamic mmap
-# threshold, not by design: the crossing search's first full pair block
-# (2 MiB; Koch L7 has 354,063 x-overlap pairs) lifts the threshold to about
-# 2 MiB and the trim threshold to about 4 MiB, so the sweep's 128 KiB
-# per-segment temporaries are then reused from the heap.  Smaller blocks
-# (1 << 16 here, or a cell-bucketed crossing search that is 2-2.5x faster
-# at L8-L10) took its minor faults per sample from 18k to 110k and its
-# wall time up 15-18% on a 2-core host; fixed mallopt thresholds slowed
-# other layers (1 MiB / 4 MiB) or raised peak RSS (16-32 MiB).
+# Before the visibility block pass, koch-ring's speed leaned on this size
+# through glibc's dynamic mmap threshold: the crossing search's first full
+# pair block (2 MiB; Koch L7 has 354,063 x-overlap pairs) lifted the
+# threshold to about 2 MiB, so the sweep's 128 KiB per-segment temporaries
+# were reused from the heap, and 1 << 16 slowed koch-ring's wall time by
+# 15-18% on a 2-core host.  The sweep now takes only the surviving blocks'
+# segments, about a quarter of L7's, and its 30 KiB temporaries fall below the
+# initial 128 KiB threshold: with 1 << 16, koch-ring's median wall time
+# over 4 alternating pairs stayed at 0.59 s and its peak RSS fell from
+# 53.7 to 49.9 MB.  A smaller block, or a crossing search that frees
+# smaller blocks, no longer costs koch-ring its speed.
 _CHUNK = 1 << 18
 
 

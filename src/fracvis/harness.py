@@ -30,6 +30,7 @@ import numpy as np
 
 from . import svg as svgmod
 from .fractals import CurveApprox, CurveSpec, check_keys, coerce_fields, generate
+from . import geom
 from .geom import EPS_GEOM, TWO_PI, point_segments_dist
 from .measurelab import DimEstimate, box_dimension, default_scale_window
 from .visibility import SegmentIndex, VisibleSet, sample_visible, visible_set
@@ -259,10 +260,16 @@ def plan_viewpoints(curve: CurveApprox, plan: ViewpointPlan,
 
     Viewpoint i draws only from ``default_rng([seed, i])``, so the result
     never depends on evaluation order.  Positions landing on the curve are
-    rejection-sampled from the same stream.
+    rejection-sampled from the same stream.  A candidate is on the curve
+    when a segment lies within eps of it; only the blocks of
+    ``geom._BLOCK`` segments whose boxes come that close are measured
+    (``geom.nearest_dist``).
     """
     c = curve.centroid()
     eps = _off_curve_eps(curve)
+    segs = curve.segments
+    edges = np.append(np.arange(0, segs.shape[0], geom._BLOCK), segs.shape[0])
+    boxes = geom.segment_boxes(segs, edges)
     if plan.mode == "ring":
         radii = plan.radii or (curve.diam, 3.0 * curve.diam)
     else:
@@ -292,7 +299,7 @@ def plan_viewpoints(curve: CurveApprox, plan: ViewpointPlan,
                     cand = cand + rng.uniform(-0.5, 0.5, size=2) * np.array(
                         [(x1 - x0) / side, (y1 - y0) / side]
                     )
-            if float(point_segments_dist(cand, curve.segments).min()) > eps:
+            if geom.nearest_dist(cand, segs, edges, boxes, eps) > eps:
                 p = cand
                 break
         if p is None:

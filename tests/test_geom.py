@@ -249,6 +249,55 @@ def test_point_segments_dist():
     assert d == pytest.approx([0.25, 0.75])
 
 
+def test_segment_boxes_and_box_dists():
+    segs = np.random.default_rng(5).uniform(-3.0, 3.0, size=(40, 4))
+    edges = np.array([0, 7, 8, 25, 40])
+    boxes = geom.segment_boxes(segs, edges)
+    for box, a, b in zip(boxes, edges[:-1], edges[1:]):
+        xs, ys = segs[a:b, 0::2], segs[a:b, 1::2]
+        assert box.tolist() == [xs.min(), ys.min(), xs.max(), ys.max()]
+    p = np.array([0.3, -0.2])
+    near, far = geom.box_dists(p, boxes)
+    for box, lo, hi in zip(boxes, near, far):
+        corners = np.array([[box[i], box[j]] for i in (0, 2) for j in (1, 3)])
+        assert hi == pytest.approx(np.hypot(*(corners - p).T).max())
+        inside = box[0] <= p[0] <= box[2] and box[1] <= p[1] <= box[3]
+        gap = np.clip(p, box[0:2], box[2:4]) - p
+        assert lo == (0.0 if inside else pytest.approx(np.hypot(*gap)))
+
+
+def test_nearest_dist_allows_for_the_rounded_nearest_point():
+    # point_segments_dist forms this segment's end as a + (b - a), which
+    # rounds past its box: the distance it computes is 9.95e-15, the box's
+    # near distance 1.02e-14.
+    segs = np.array([[-65.59699772239185, 0.004285874142666124,
+                      -7.191799421970612e-05, 0.09245593760613734]])
+    p = (-7.19179942108037e-05, 0.09245593760614225)
+    edges = np.array([0, 1])
+    boxes = geom.segment_boxes(segs, edges)
+    dist = float(point_segments_dist(p, segs)[0])
+    assert dist < geom.box_dists(p, boxes)[0][0]
+    assert geom.nearest_dist(p, segs, edges, boxes, dist) == dist
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-9, 1.0, 1e6]),
+       shift=st.sampled_from([0.0, 1e3, 1e9]),
+       block=st.sampled_from([1, 3, 16]))
+def test_nearest_dist_finds_the_least_distance(seed, scale, shift, block):
+    # p sits on, or a rounding away from, a segment far from the origin,
+    # where the distances point_segments_dist computes are least exact.
+    rng = np.random.default_rng(seed)
+    segs = shift + scale * rng.uniform(-1.0, 1.0, size=(50, 4))
+    a, b = segs[rng.integers(50)].reshape(2, 2)
+    p = a + rng.uniform(0.0, 1.0) * (b - a) + scale * rng.normal(size=2) * 1e-14
+    dist = float(point_segments_dist(p, segs).min())
+    edges = np.append(np.arange(0, 50, block), 50)
+    boxes = geom.segment_boxes(segs, edges)
+    assert geom.nearest_dist(p, segs, edges, boxes, dist) == dist
+    assert geom.nearest_dist(p, segs, edges, boxes, 0.5 * dist) > 0.5 * dist or not dist
+
+
 def test_diameter_square():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     assert diameter(pts) == pytest.approx(math.sqrt(2.0))
