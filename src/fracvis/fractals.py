@@ -38,8 +38,8 @@ MAX_LEVEL = 12
 CANTOR_MAX_LEVEL = 10
 
 # Quasicircle bump scale: step k multiplies radii by
-# 1 + amplitude * roughness * 2**(-k * holder) * eta, clipped so the factor
-# never reaches zero.  Calibrated against box_dimension at levels 8-10.
+# 1 + QUASI_AMPLITUDE * roughness * 2**(-k * holder) * eta, clipped so the
+# factor never reaches zero.  Calibrated against box_dimension at levels 8-10.
 QUASI_AMPLITUDE = 1.8
 # Roughness of quasicircle() and of quasicircle specs that do not set one.
 QUASI_ROUGHNESS = 0.6
@@ -70,11 +70,12 @@ def check_keys(cls, d) -> dict:
 
 
 def coerce_fields(record, **kinds) -> None:
-    """Set each named field of a frozen record to its value as its kind.
+    """Set each named field of a record, frozen or not, to its value as its kind.
 
-    A kind is int, float, str, dict, list (of floats) or ``(float,) * n`` (a
-    tuple of n floats).  Numbers must be finite, bools are not numbers, and
-    an int must be integral, so ``count: 2.7`` is refused, not cut to 2.
+    A kind is int, float, str, dict, ``[k]`` (a list of kind k) or
+    ``(float,) * n`` (a tuple of n floats).  Numbers must be finite, bools
+    are not numbers, and an int must be integral, so ``count: 2.7`` is
+    refused, not cut to 2.
     A field whose default is None may stay None.  Raises ValueError naming
     the field.
     """
@@ -86,17 +87,20 @@ def coerce_fields(record, **kinds) -> None:
 
 
 def _as_kind(value, kind, name: str):
-    if kind is list or isinstance(kind, tuple):
-        if isinstance(value, (list, tuple)) and kind in (list, (float,) * len(value)):
-            items = [_as_kind(v, float, name) for v in value]
-            return items if kind is list else tuple(items)
+    if isinstance(kind, (list, tuple)):
+        # A list kind takes any length, a tuple kind only its own.
+        if isinstance(value, (list, tuple)) and (isinstance(kind, list)
+                                                 or len(value) == len(kind)):
+            items = [_as_kind(v, kind[0], name) for v in value]
+            return items if isinstance(kind, list) else tuple(items)
     elif kind in (str, dict):
         if isinstance(value, kind):
             return kind(value)
     elif (isinstance(value, numbers.Real) and not isinstance(value, bool)
           and -math.inf < value < math.inf and kind(value) == value):
         return kind(value)
-    what = ("a list of numbers" if kind is list
+    what = (f"a list of {'objects' if kind == [dict] else 'numbers'}"
+            if isinstance(kind, list)
             else f"a list of {len(kind)} numbers" if isinstance(kind, tuple)
             else kind.__name__)
     raise ValueError(f"{name} must be {what}, got {value!r}")
@@ -133,12 +137,10 @@ class CurveApprox:
     numbers, and anything else is refused with a ValueError naming
     ``segments``.  ``min_seg_len`` None means the shortest segment's
     length.  ``diam`` and ``is_point_cloud`` are derived from the segments
-    once: ``diam`` is the :func:`geom.diameter` of the curve's vertex table
-    (the segment starts, then the ends of the :func:`loose_segments`), the
-    same point set as all 2n endpoints, so a chain passes n + 1 points.  A
-    point cloud's rows are all degenerate (a == b); such curves are
-    rejected by the visibility module but accepted by the measure
-    estimators.
+    once: ``diam`` is the :func:`geom.diameter` of :meth:`vertices`, the
+    same point set as all 2n endpoints.  A point cloud's rows are all
+    degenerate (a == b); such curves are rejected by the visibility module
+    but accepted by the measure estimators.
     """
 
     segments: np.ndarray
@@ -162,26 +164,23 @@ class CurveApprox:
         if self.min_seg_len is None:
             self.min_seg_len = float(self.lengths().min())
         a, b = self.segments[:, 0:2], self.segments[:, 2:4]
-        self.diam = diameter(np.vstack([a, b[loose_segments(self.segments)]]))
         self.is_point_cloud = bool(np.all(a == b))
+        self.diam = diameter(self.vertices())
 
     @property
     def n_segments(self) -> int:
         return int(self.segments.shape[0])
 
     def vertices(self) -> np.ndarray:
-        """All segment endpoints, deduplicated for chains.
+        """The vertex table: the segment starts, then the ends of the
+        :func:`loose_segments`, so a chain of n segments lists n + 1 points.
 
-        A chain is a curve whose every segment starts exactly where the
-        previous one ends; its shared endpoints are listed once.
+        A point cloud lists its n points.
         """
-        if self.is_point_cloud:
-            return self.segments[:, 0:2]
         a = self.segments[:, 0:2]
-        b = self.segments[:, 2:4]
-        if np.array_equal(a[1:], b[:-1]):
-            return np.vstack([a, b[-1:]])
-        return np.vstack([a, b])
+        if self.is_point_cloud:
+            return a
+        return np.vstack([a, self.segments[loose_segments(self.segments), 2:4]])
 
     def lengths(self) -> np.ndarray:
         return np.hypot(
@@ -314,14 +313,14 @@ def koch_generalized(target_dim: float, level: int) -> CurveApprox:
     return CurveApprox(segs, target_dim, None, spec)
 
 
-def quasicircle(seed: int, roughness: float = QUASI_ROUGHNESS, level: int = 9,
-                amplitude: float = QUASI_AMPLITUDE) -> CurveApprox:
+def quasicircle(seed: int, roughness: float = QUASI_ROUGHNESS,
+                level: int = 9) -> CurveApprox:
     """Closed rough circle via radial midpoint displacement.
 
     Starts from an equilateral triangle inscribed in the unit circle.  Each
     refinement step k bisects every arc in angle and multiplies the averaged
-    radius by 1 + amplitude * roughness * 2**(-k * holder) * eta, eta uniform
-    in [-1, 1) from one stream per step keyed by (seed, k), where
+    radius by 1 + QUASI_AMPLITUDE * roughness * 2**(-k * holder) * eta, eta
+    uniform in [-1, 1) from one stream per step keyed by (seed, k), where
     holder = 1 - 0.9 * roughness.  Displacements scaling like the Hoelder
     exponent ``holder`` of the step size make the limit graph roughly
     (2 - holder)-dimensional, so the box dimension climbs with roughness;
@@ -333,8 +332,6 @@ def quasicircle(seed: int, roughness: float = QUASI_ROUGHNESS, level: int = 9,
         raise ValueError("roughness must lie in [0, 1)")
     if not (0 <= level <= MAX_LEVEL):
         raise ValueError(f"level must lie in [0, {MAX_LEVEL}]")
-    if amplitude < 0.0:
-        raise ValueError("amplitude must be non-negative")
     holder = 1.0 - 0.9 * roughness
 
     theta = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
@@ -346,7 +343,7 @@ def quasicircle(seed: int, roughness: float = QUASI_ROUGHNESS, level: int = 9,
         rng = np.random.default_rng([seed, k])
         eta = rng.uniform(-1.0, 1.0, size=m)
         bump = np.clip(
-            amplitude * roughness * 2.0 ** (-k * holder) * eta,
+            QUASI_AMPLITUDE * roughness * 2.0 ** (-k * holder) * eta,
             -_QUASI_BUMP_CLIP, _QUASI_BUMP_CLIP,
         )
         mid_radius = 0.5 * (radius + np.roll(radius, -1)) * (1.0 + bump)
@@ -361,8 +358,7 @@ def quasicircle(seed: int, roughness: float = QUASI_ROUGHNESS, level: int = 9,
 
     pts = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
     segs = _chain_to_segments(pts, closed=True)
-    spec = CurveSpec("quasicircle", None, level, seed,
-                     {"roughness": roughness, "amplitude": amplitude})
+    spec = CurveSpec("quasicircle", None, level, seed, {"roughness": roughness})
     return CurveApprox(segs, None, None, spec)
 
 
@@ -428,12 +424,11 @@ def cantor_cross(ratio: float, level: int) -> CurveApprox:
 FAMILIES = {
     "koch": (koch_generalized, ("target_dim", "level"), {}),
     "quasicircle": (quasicircle, ("level", "seed"),
-                    {"roughness": (float, QUASI_ROUGHNESS),
-                     "amplitude": (float, QUASI_AMPLITUDE)}),
+                    {"roughness": (float, QUASI_ROUGHNESS)}),
     "circle": (lambda cx, cy, **kw: circle((cx, cy), **kw), (),
                {"cx": (float, 0.0), "cy": (float, 0.0), "radius": (float, 1.0),
                 "n": (int, 4096)}),
-    "polyline": (polyline, (), {"points": (list, None)}),
+    "polyline": (polyline, (), {"points": ([float], None)}),
     "cantor_cross": (cantor_cross, ("level",), {"ratio": (float, 1.0 / 3.0)}),
 }
 

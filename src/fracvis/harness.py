@@ -383,11 +383,14 @@ def _row_for_viewpoint(curve: CurveApprox, index: SegmentIndex | None,
 
 @dataclass
 class BoundReport:
-    """Aggregate scorecard for one sweep against both dimension bounds."""
+    """Aggregate scorecard for one sweep against both dimension bounds.
+
+    Each field is coerced to its kind on construction (``coerce_fields``),
+    so a report read back refuses a field of the wrong kind by name.
+    """
 
     experiment_id: str
     d_hat: DimEstimate | float
-    theoretical_dim: float | None
     f_bound: float
     bound_tol: float
     s_threshold: float
@@ -395,11 +398,19 @@ class BoundReport:
     fraction_within: float
     exceptional_set_fraction: float
     exceptional_bound: float
-    exceptional_set_dim: float | None
     exceptional_set_flag: str
-    max_dim_visible: float | None
+    theoretical_dim: float | None = None
+    exceptional_set_dim: float | None = None
+    max_dim_visible: float | None = None
 
     def __post_init__(self):
+        coerce_fields(self, experiment_id=str, f_bound=float, bound_tol=float,
+                      s_threshold=float, rows=[dict], fraction_within=float,
+                      exceptional_set_fraction=float, exceptional_bound=float,
+                      exceptional_set_flag=str, theoretical_dim=float,
+                      exceptional_set_dim=float, max_dim_visible=float)
+        if not isinstance(self.d_hat, DimEstimate):
+            coerce_fields(self, d_hat=float)
         if not (0.0 <= self.fraction_within <= 1.0):
             raise ValueError("fraction_within must lie in [0, 1]")
         if not (0.0 <= self.exceptional_set_fraction <= 1.0):
@@ -409,15 +420,15 @@ class BoundReport:
     def d_hat_value(self) -> float:
         if isinstance(self.d_hat, DimEstimate):
             return self.d_hat.value
-        return float(self.d_hat)
+        return self.d_hat
 
     def to_dict(self) -> dict:
         d_hat = (
             self.d_hat.to_dict()
             if isinstance(self.d_hat, DimEstimate)
-            else {"value": float(self.d_hat)}
+            else {"value": self.d_hat}
         )
-        return {**dataclasses.asdict(self), "d_hat": d_hat}
+        return {**vars(self), "d_hat": d_hat}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -433,28 +444,8 @@ class BoundReport:
         dh = d["d_hat"]
         if not isinstance(dh, dict) or "value" not in dh:
             raise ValueError(f"d_hat must be an object with a value, got {dh!r}")
-        d_hat = DimEstimate.from_dict(dh) if "n_scales" in dh else float(dh["value"])
-        return cls(
-            experiment_id=d["experiment_id"],
-            d_hat=d_hat,
-            theoretical_dim=d["theoretical_dim"],
-            f_bound=float(d["f_bound"]),
-            bound_tol=float(d["bound_tol"]),
-            s_threshold=float(d["s_threshold"]),
-            rows=list(d["rows"]),
-            fraction_within=float(d["fraction_within"]),
-            exceptional_set_fraction=float(d["exceptional_set_fraction"]),
-            exceptional_bound=float(d["exceptional_bound"]),
-            exceptional_set_dim=(
-                None if d["exceptional_set_dim"] is None
-                else float(d["exceptional_set_dim"])
-            ),
-            exceptional_set_flag=d["exceptional_set_flag"],
-            max_dim_visible=(
-                None if d["max_dim_visible"] is None
-                else float(d["max_dim_visible"])
-            ),
-        )
+        d_hat = DimEstimate.from_dict(dh) if "n_scales" in dh else dh["value"]
+        return cls(**{**d, "d_hat": d_hat})
 
     @classmethod
     def read(cls, path) -> "BoundReport":

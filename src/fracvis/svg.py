@@ -35,6 +35,12 @@ def _header(width: int, height: int) -> str:
     )
 
 
+def _text(x: str, y: str, size: int, body: str, extra: str = "") -> str:
+    """A monospace <text> element at canvas (x, y), given as written."""
+    return (f'<text x="{x}" y="{y}" font-family="monospace" font-size="{size}"'
+            f'{extra}>{body}</text>\n')
+
+
 class _Frame:
     """World-to-canvas map with uniform scale and flipped y."""
 
@@ -90,11 +96,8 @@ def render_scene(curve: CurveApprox, vs: VisibleSet) -> str:
         )
     parts.append('<circle cx="%.4f" cy="%.4f" r="5" fill="#2244cc"/>\n'
                  % frame.to(vs.viewpoint.x, vs.viewpoint.y))
-    parts.append(
-        f'<text x="10" y="20" font-family="monospace" font-size="13">'
-        f'visible pieces: {len(vs.segments)}  length: {format(vs.total_length, ".6g")}'
-        "</text>\n"
-    )
+    parts.append(_text("10", "20", 13, f"visible pieces: {len(vs.segments)}  "
+                       f"length: {format(vs.total_length, '.6g')}"))
     parts.append("</svg>\n")
     return "".join(parts)
 
@@ -133,41 +136,24 @@ def render_dim_scatter(dists, dims, d_hat: float, f_bound: float) -> str:
             f'<line x1="{_num(ax0)}" y1="{_num(cy)}" x2="{_num(ax1)}" '
             f'y2="{_num(cy)}" stroke="{color}" stroke-width="1.5"{dash_attr}/>\n'
         )
-        parts.append(
-            f'<text x="{_num(ax1 - 150)}" y="{_num(cy - 5)}" '
-            f'font-family="monospace" font-size="12" fill="{color}">{label}</text>\n'
-        )
+        parts.append(_text(_num(ax1 - 150), _num(cy - 5), 12, label,
+                           f' fill="{color}"'))
     for x, y in zip(xs, ys):
         cx, cy = to(x, y)
         parts.append(
             f'<circle cx="{_num(cx)}" cy="{_num(cy)}" r="3" fill="#2244cc" '
             'fill-opacity="0.7"/>\n'
         )
-    parts.append(
-        f'<text x="{_num(0.5 * _PLOT_W - 60)}" y="{_num(_PLOT_H - 12)}" '
-        'font-family="monospace" font-size="13">distance to set</text>\n'
-    )
-    parts.append(
-        f'<text x="14" y="{_num(0.5 * _PLOT_H)}" font-family="monospace" '
-        f'font-size="13" transform="rotate(-90 14 {_num(0.5 * _PLOT_H)})">'
-        "dim of visible part</text>\n"
-    )
-    # Axis extremes, enough to read the plot without a tick generator.
-    parts.append(
-        f'<text x="{_num(ax0)}" y="{_num(ay0 + 18)}" font-family="monospace" '
-        f'font-size="11">{format(x_lo, ".4g")}</text>\n'
-    )
-    parts.append(
-        f'<text x="{_num(ax1 - 30)}" y="{_num(ay0 + 18)}" '
-        f'font-family="monospace" font-size="11">{format(x_hi, ".4g")}</text>\n'
-    )
-    parts.append(
-        f'<text x="{_num(ax0 - 42)}" y="{_num(ay0)}" font-family="monospace" '
-        f'font-size="11">{format(y_lo, ".3g")}</text>\n'
-    )
-    parts.append(
-        f'<text x="{_num(ax0 - 42)}" y="{_num(ay1 + 4)}" '
-        f'font-family="monospace" font-size="11">{format(y_hi, ".3g")}</text>\n'
-    )
+    mid_y = _num(0.5 * _PLOT_H)
+    parts += [
+        _text(_num(0.5 * _PLOT_W - 60), _num(_PLOT_H - 12), 13, "distance to set"),
+        _text("14", mid_y, 13, "dim of visible part",
+              f' transform="rotate(-90 14 {mid_y})"'),
+        # Axis extremes, enough to read the plot without a tick generator.
+        _text(_num(ax0), _num(ay0 + 18), 11, format(x_lo, ".4g")),
+        _text(_num(ax1 - 30), _num(ay0 + 18), 11, format(x_hi, ".4g")),
+        _text(_num(ax0 - 42), _num(ay0), 11, format(y_lo, ".3g")),
+        _text(_num(ax0 - 42), _num(ay1 + 4), 11, format(y_hi, ".3g")),
+    ]
     parts.append("</svg>\n")
     return "".join(parts)

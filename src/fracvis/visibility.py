@@ -79,19 +79,6 @@ class Viewpoint:
             raise ValueError("viewpoint must be off the curve")
 
 
-@dataclass(frozen=True)
-class VisiblePiece:
-    """A maximal visible sub-segment, lying on its parent segment."""
-
-    segment_index: int
-    start: tuple[float, float]
-    end: tuple[float, float]
-
-    @property
-    def length(self) -> float:
-        return math.hypot(self.end[0] - self.start[0], self.end[1] - self.start[1])
-
-
 @dataclass
 class VisibleSet:
     """The visible pieces as columns, ordered by parent, then start, then end.
@@ -118,13 +105,14 @@ class VisibleSet:
                    np.empty(0), 0.0, 0.0)
 
     @property
-    def pieces(self) -> list[VisiblePiece]:
-        """The rows as VisiblePiece objects, built on each read.
+    def pieces(self) -> list[list[float]]:
+        """The rows of ``segments`` as lists, built on each read.
 
-        No fracvis code reads this view; ``perfbench/worker.py`` does.
+        No fracvis code reads this view; it stays only for the benchmark's
+        traced replay (``perfbench/worker.py``), which takes its length and
+        truth value, until that replay runs the real sweep.
         """
-        return [VisiblePiece(p, (x0, y0), (x1, y1)) for p, (x0, y0, x1, y1)
-                in zip(self.parents.tolist(), self.segments.tolist())]
+        return self.segments.tolist()
 
 
 # Probes per tile of the sweep's best_t maxima.
@@ -539,13 +527,11 @@ def visible_set(curve: CurveApprox, x,
     distance of a segment spanning it, and a segment whose nearest distance
     exceeds that on all of its probes is skipped (``_cull_bound`` adds the
     rounding margins, ``_first_hits`` culls).  Neither cull drops a segment
-    that could win or tie, so the output is that of the whole curve, with
-    two exceptions in views degenerate up to rounding: the ray at the
-    first event angle is formed as that angle plus 2 pi, reduced, where a
-    run ends there, so the events the block pass removes can move a piece
-    end by that rounding; and a collinear overlap may go to another
-    parent.  A first hit beyond its bound raises ValueError rather than
-    return a wrong set.  ``dist_to_set`` is the least distance over the
+    that could win or tie, and each run is cut by the rays at its end
+    events themselves, so the output is that of the whole curve, but for
+    one exception in views degenerate up to rounding: a collinear overlap
+    may go to another parent.  A first hit beyond its bound raises
+    ValueError rather than return a wrong set.  ``dist_to_set`` is the least distance over the
     segments of the blocks whose boxes come that close
     (``geom.nearest_dist``), the least over all segments.
     """
@@ -619,11 +605,13 @@ def visible_set(curve: CurveApprox, x,
         run_width[-1] += TWO_PI
     angular_coverage = float(np.sum(run_width))
 
-    # A run's piece is cut from its winner by the rays at its two ends.
+    # A run's piece is cut from its winner by the rays at its two end events;
+    # event m is event 0 itself, so no piece end depends on which event is
+    # first, which the block pass can change.
     parent = sc[run_starts]
 
     def line_hit(k):
-        ang = np.mod(ext[k], TWO_PI)
+        ang = events[k % m]
         c = np.cos(ang)
         s = np.sin(ang)
         t = num[parent] / (c * ey[parent] - s * ex[parent])

@@ -605,11 +605,15 @@ _GOOD_CONFIG = {"curve": {"kind": "koch", "target_dim": 1.5, "level": 6},
         ("render", lambda rep: {**rep, "d_hat": "x"}, "d_hat"),
         ("render", lambda rep: {**rep, "d_hat": _without(rep["d_hat"], "stderr")},
          "stderr"),
+        ("render", lambda rep: {**rep, "f_bound": True}, "f_bound"),
+        ("render", lambda rep: {**rep, "f_bound": "1.3"}, "f_bound"),
+        ("render", lambda rep: {**rep, "rows": "abc"}, "rows"),
     ],
     ids=["no-curve", "viewpoints-string", "top-level-list", "one-radius",
          "three-radii", "fractional-count", "misspelt-key", "one-scale",
          "polyline-without-points", "misspelt-param", "report-without-f_bound",
-         "report-list", "d_hat-number", "d_hat-string", "d_hat-without-stderr"],
+         "report-list", "d_hat-number", "d_hat-string", "d_hat-without-stderr",
+         "f_bound-bool", "f_bound-string", "rows-string"],
 )
 def test_cli_refuses_malformed_configs_and_reports(sweep_out, tmp_path, capsys,
                                                    command, doc, field):

@@ -542,6 +542,20 @@ def test_block_cull_keeps_every_bit(make, views):
     assert (min(kept) < curve.n_segments) == (index.blocks is not None)
 
 
+def test_block_cull_keeps_a_run_end_at_the_first_event():
+    # From here a run ends at the first event angle.  Its end ray, formed as
+    # that angle plus 2 pi and reduced, moved with the events the block pass
+    # removes, so the culled and unculled pieces differed in the last bit;
+    # cut on the event angle itself, they agree.
+    curve = koch_generalized(1.5, 6)
+    x = (0.4958730916612479, 0.10514512393890708)
+    index = SegmentIndex(curve)
+    got = visible_set_to_json(visible_set(curve, x, index))
+    with mock.patch.object(visibility, "_block_cull", _no_block_cull):
+        want = visible_set_to_json(visible_set(curve, x, index))
+    assert got == want
+
+
 def test_all_loose_soup_runs_no_block_pass():
     # The even segments, then the odd: no segment ends where the next starts.
     curve = koch_generalized(1.5, 5)
@@ -640,7 +654,10 @@ _DIGESTS = {
     ],
     "soup-x": [
         "ec03f06ac4024491cb647f52f8db17a6f95af1f8ec7bb642d1d205f1fae15882",
-        "b1f19171e5f782f4d909450d80cfc28e6799faa79684a7561071b7f386b780f4",
+        # Re-recorded when run ends came to be cut on the event angle itself,
+        # not on the first event plus 2 pi, reduced: the wall piece's top end
+        # moved from y = 0.29999999999999988 to 0.29999999999999999.
+        "1ca10bcb6786fe978983df2d9a62803d91f9a49a8f38863a9f8108c6005f4dda",
         "b3caf82347590f478f4866d39af041a3125534ca681478c13a10d3028be0aec0",
     ],
     "no-pieces": [
@@ -696,11 +713,7 @@ def test_visible_set_columns_are_sorted_typed_and_exact(curve, x):
         assert length.hex() == math.hypot(x1 - x0, y1 - y0).hex()
         assert length > EPS_GEOM
     assert vs.total_length.hex() == float(np.sum(vs.lengths)).hex()
-    pieces = vs.pieces
-    assert [p.segment_index for p in pieces] == vs.parents.tolist()
-    view = np.array([[*p.start, *p.end] for p in pieces]).reshape(-1, 4)
-    assert view.tobytes() == vs.segments.tobytes()
-    assert [p.length for p in pieces] == vs.lengths.tolist()
+    assert vs.pieces == vs.segments.tolist()
 
 
 @pytest.mark.parametrize("make, sweeps", [
