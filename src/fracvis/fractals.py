@@ -23,6 +23,7 @@ Families
 
 from __future__ import annotations
 
+import binascii
 import dataclasses
 import json
 import math
@@ -543,13 +544,14 @@ def _fnum(v) -> str:
 
 
 def curve_to_json(curve: CurveApprox) -> str:
-    """Serialize a curve as a vertex table, floats at 17 significant digits.
+    """Serialize a curve as a vertex table of float64 bytes.
 
-    ``vertices`` is the flat x, y list of the n segment starts, then of the
-    end of each segment in ``loose`` (:func:`loose_segments`), in its
-    order; so a chain of n segments stores n + 1 points and a point cloud
-    2n.  The document is built by hand so that identical curves always
-    produce byte-identical files.
+    ``vertices`` is the base64 of the little-endian float64 (``"<f8"``) x, y
+    pairs of the n segment starts, then of the end of each segment in
+    ``loose`` (:func:`loose_segments`), in its order; so a chain of n
+    segments stores n + 1 points and a point cloud 2n, each bit for bit.
+    The document is built by hand so that identical curves always produce
+    byte-identical files.
     """
     spec = curve.spec
 
@@ -558,7 +560,8 @@ def curve_to_json(curve: CurveApprox) -> str:
             return json.dumps(v)
         if isinstance(v, list):
             return f"[{','.join(_pval(x) for x in v)}]"
-        return _fnum(v)
+        # "-0" would read back as the integer 0; "-0.0" reads back as -0.0.
+        return "-0.0" if v == 0 and math.copysign(1.0, v) < 0 else _fnum(v)
 
     params_items = ",".join(
         f"{json.dumps(k)}:{_pval(v)}" for k, v in sorted(spec.params.items())
@@ -577,14 +580,13 @@ def curve_to_json(curve: CurveApprox) -> str:
         raise ValueError("cannot serialize non-finite number")
     loose = loose_segments(segs)
     verts = np.concatenate([segs[:, 0:2].ravel(), segs[loose, 2:4].ravel()])
-    # One %-format over every coordinate; "%.17g" matches _fnum's format().
-    nums = ",".join(["%.17g"] * verts.size) % tuple(verts.tolist())
+    table = binascii.b2a_base64(verts.astype("<f8", copy=False), newline=False)
     return (
         "{"
         f"\"spec\":{spec_json},"
         f"\"theoretical_dim\":{_fnum(curve.theoretical_dim)},"
         f"\"min_seg_len\":{_fnum(curve.min_seg_len)},"
-        f"\"vertices\":[{nums}],"
+        f"\"vertices\":\"{table.decode('ascii')}\","
         f"\"loose\":[{','.join(map(str, loose.tolist()))}]"
         "}"
     )
@@ -603,7 +605,7 @@ class CurveFile:
     spec: dict
     theoretical_dim: float | None
     min_seg_len: float
-    vertices: list
+    vertices: str
     loose: list
 
 
@@ -613,9 +615,7 @@ def curve_from_json(text: str) -> CurveApprox:
     A missing, unknown or malformed key (such as ``segments``, of the old
     row layout) is refused with a ValueError naming it.
     """
-    # curve_to_json writes -0.0 as "-0", which json reads as the integer 0.
-    doc = check_keys(CurveFile, json.loads(
-        text, parse_int=lambda v: -0.0 if v == "-0" else int(v)))
+    doc = check_keys(CurveFile, json.loads(text))
     theo = doc["theoretical_dim"]
     if theo is not None:
         theo = _as_kind(theo, float, "theoretical_dim")
@@ -630,16 +630,22 @@ def _rows_of_table(vertices, loose) -> np.ndarray:
     n is the number of points less ``len(loose)``; see :func:`loose_segments`
     for the rule.  Raises ValueError naming ``vertices`` or ``loose``.
     """
-    # A bool is an int to numpy and to isinstance, so test the exact types.
-    if not isinstance(vertices, list) or not set(map(type, vertices)) <= {int, float}:
-        raise ValueError("vertices must be a flat list of numbers")
-    if len(vertices) % 2:
-        raise ValueError(f"vertices must be x, y pairs, got {len(vertices)} numbers")
+    if not isinstance(vertices, str):
+        raise ValueError("vertices must be a base64 string of float64 x, y "
+                         f"pairs, got {type(vertices).__name__}")
     try:
-        pts = np.array(vertices, dtype=float).reshape(-1, 2)
-    except OverflowError:
-        raise ValueError("vertices must be finite, got an integer beyond "
-                         "the float range") from None
+        raw = binascii.a2b_base64(vertices)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"vertices must be base64: {exc}") from None
+    # a2b_base64 skips stray characters and unused bits; the string
+    # curve_to_json writes is the one that re-encodes to itself.
+    if binascii.b2a_base64(raw, newline=False) != vertices.encode("ascii"):
+        raise ValueError("vertices must be base64 with no stray character, "
+                         "extra padding or unused bit set")
+    if len(raw) % 16:
+        raise ValueError(f"vertices must be float64 x, y pairs, got {len(raw)} "
+                         "bytes, not a multiple of 16")
+    pts = np.frombuffer(raw, "<f8").reshape(-1, 2)
     if not np.all(np.isfinite(pts)):
         raise ValueError("vertices must be finite, got a non-finite number")
     if len(pts) < 2:

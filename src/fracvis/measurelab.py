@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fractals import (CurveApprox, DiscreteMeasure, arclength_table,
-                       points_at_arclength)
+                       coerce_fields, points_at_arclength)
 from .geom import (
     CHECK_SLACK,
     Annulus,
@@ -63,6 +63,8 @@ class DimEstimate:
     r_squared: float
 
     def __post_init__(self):
+        coerce_fields(self, value=float, stderr=float, scale_window=(float,) * 2,
+                      n_scales=int, r_squared=float)
         lo, hi = self.scale_window
         if not (0.0 < lo < hi):
             raise ValueError("scale window must satisfy 0 < min < max")
@@ -85,12 +87,15 @@ class DimEstimate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DimEstimate":
-        try:
-            return cls(float(d["value"]), float(d["stderr"]),
-                       (float(d["scale_min"]), float(d["scale_max"])),
-                       int(d["n_scales"]), float(d["r_squared"]))
-        except KeyError as exc:
-            raise ValueError(f"DimEstimate lacks required field {exc}") from None
+        """The estimate of a :meth:`to_dict` object; a missing or unknown
+        key, or a value not of its kind, is refused with a ValueError naming it."""
+        keys = {"value", "stderr", "r_squared", "scale_min", "scale_max", "n_scales"}
+        if set(d) != keys:
+            odd = sorted(set(d) ^ keys)[0]
+            raise ValueError(f"DimEstimate field {odd!r} is "
+                             f"{'unknown' if odd in d else 'missing'}")
+        return cls(d["value"], d["stderr"], (d["scale_min"], d["scale_max"]),
+                   d["n_scales"], d["r_squared"])
 
 
 def fit_loglog(x, y) -> tuple[float, float, float, float]:

@@ -1,5 +1,6 @@
-"""Shared fixtures and hypothesis profile for the test suite."""
+"""Shared fixtures, curve-file table helpers and hypothesis profile for the test suite."""
 
+import base64
 import math
 
 import numpy as np
@@ -17,6 +18,17 @@ settings.register_profile(
 settings.load_profile("suite")
 
 KOCH_CLASSIC_DIM = math.log(4) / math.log(3)
+
+
+def encode_vertices(values) -> str:
+    """The curve-file ``vertices`` string of a flat list of floats."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_vertices(text: str) -> np.ndarray:
+    """The (m, 2) points of a curve-file ``vertices`` string, read as the
+    README shows."""
+    return np.frombuffer(base64.b64decode(text), "<f8").reshape(-1, 2)
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import decode_vertices, encode_vertices
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -301,12 +302,12 @@ def test_generate_refuses_what_its_family_does_not_read(spec, key):
 @pytest.mark.parametrize(
     "make, digest",
     [
+        # Both re-recorded when `vertices` became base64 float64 bytes; the
+        # other keys are unchanged, and the bytes decode to the same points.
         (lambda: koch_generalized(1.5, 4),
-         "b71b066311265e3e7253b705772f7baa0ce332b231c21ffe5101517fc14654ca"),
-        # Re-recorded when the quasicircle's amplitude became a constant and
-        # left the spec's params; the vertex table is unchanged.
+         "7c646deacde11c2df74db06095cb2b3d94c427a799fb9497addafeca461ae5f2"),
         (lambda: quasicircle(3, 0.6, 6),
-         "86ee88dd4750ecbe7323758dbd242470106c340a473acacd908ec3693b14c140"),
+         "7bd9b9bfa164e45247bdaf92727839b195734e0df90928dd1a2eae5030ac5638"),
     ],
     ids=["koch", "quasicircle"],
 )
@@ -332,8 +333,8 @@ def test_curve_json_has_exactly_documented_keys(circle_1024):
     # A closed chain: n starts, then the end of the last segment.
     n = circle_1024.n_segments
     assert doc["loose"] == [n - 1]
-    assert len(doc["vertices"]) == 2 * (n + 1)
-    assert all(type(v) in (int, float) for v in doc["vertices"])
+    assert isinstance(doc["vertices"], str)
+    assert decode_vertices(doc["vertices"]).shape == (n + 1, 2)
 
 
 def test_curve_json_point_cloud_round_trip():
@@ -355,6 +356,7 @@ AWKWARD = [-0.0, 5e-324, 1e16, 1.0, math.pi, -1.5e-300, 0.1, -123456789.125,
 
 
 def test_curve_json_rows_match_per_coordinate_format():
+    # Each coordinate is its own 8 little-endian bytes, in table order.
     rows = np.array(AWKWARD).reshape(-1, 4)
     pts = np.array(AWKWARD).reshape(-1, 2)
     chain = np.column_stack([pts[:-1], pts[1:]])
@@ -365,9 +367,9 @@ def test_curve_json_rows_match_per_coordinate_format():
              if segs[i, 2:4].tobytes() != segs[i + 1, 0:2].tobytes()] + [n - 1]
     assert len(loose) < n
     table = [*segs[:, 0:2].ravel(), *segs[loose, 2:4].ravel()]
-    want = ",".join(fractals._fnum(v) for v in table)
+    want = encode_vertices(table)
     assert curve_to_json(soup).endswith(
-        f"\"vertices\":[{want}],\"loose\":[{','.join(map(str, loose))}]}}")
+        f"\"vertices\":\"{want}\",\"loose\":[{','.join(map(str, loose))}]}}")
     back = curve_from_json(curve_to_json(soup))
     assert back.segments.tobytes() == soup.segments.tobytes()
 
@@ -375,8 +377,11 @@ def test_curve_json_rows_match_per_coordinate_format():
 def test_curve_json_keeps_negative_zero():
     curve = polyline([(0.0, -0.0), (1.0, 0.0), (1.0, 1.0)])
     text = curve_to_json(curve)
+    assert np.signbit(decode_vertices(json.loads(text)["vertices"])[0, 1])
     back = curve_from_json(text)
     assert np.signbit(back.segments[0, 1])
+    # The spec's points are text, and keep the sign too.
+    assert np.signbit(back.spec.params["points"][1])
     assert curve_to_json(back) == text
 
 
@@ -390,29 +395,41 @@ def test_curve_json_rejects_non_finite_coordinates(bad):
         curve_to_json(dataclasses.replace(curve, segments=segs))
 
 
-@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e999"])
+# The usual NaN and infinities, a NaN with a payload and a negative one.  A
+# decimal beyond the float range (1e999) has no bytes of its own: it is inf.
+_NAN_PAYLOAD = np.frombuffer(bytes.fromhex("0100000000f8ff7f"), "<f8")[0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, _NAN_PAYLOAD, -math.nan],
+                         ids=["NaN", "Infinity", "-Infinity", "nan-payload", "-nan"])
 def test_curve_json_reader_rejects_non_finite_coordinates(bad):
-    text = curve_to_json(polyline([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)]))
-    assert text.endswith("\"vertices\":[0,0,1,0,2,1],\"loose\":[1]}")
+    doc = json.loads(curve_to_json(polyline([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)])))
+    assert doc["vertices"] == encode_vertices([0, 0, 1, 0, 2, 1])
+    doc["vertices"] = encode_vertices([0, 0, 1, 0, 2, bad])
     with pytest.raises(ValueError, match="vertices must be finite"):
-        curve_from_json(text.replace("[0,0,1,0,2,1]", f"[0,0,1,0,2,{bad}]"))
+        curve_from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
     "table, match",
     [
-        ("[0,0,1,0,2,true],\"loose\":[1]", "vertices must be"),
-        ("[0,0,1,0,2,1],\"loose\":[true]", "loose must be"),
-        ("[0,0,1,0,2,1],\"loose\":[1.0]", "loose must be"),
-        ("[0,0,1,0,2,1],\"loose\":[-0]", "loose must be"),
+        ("true,\"loose\":[1]", "vertices must be a base64 string"),
+        ("[0,0,1,0,2,true],\"loose\":[1]", "vertices must be a base64 string"),
+        ("\"{table}\",\"loose\":[true]", "loose must be"),
+        ("\"{table}\",\"loose\":[1.0]", "loose must be"),
+        # JSON's -0 is the integer 0, which does not end the table at n - 1.
+        ("\"{table}\",\"loose\":[-0]", "loose must"),
     ],
-    ids=["bool-vertex", "bool-loose", "float-loose", "negative-zero-loose"],
+    ids=["bool-vertex", "list-with-bool", "bool-loose", "float-loose",
+         "negative-zero-loose"],
 )
 def test_curve_json_reader_refuses_bools_and_non_integers(table, match):
-    # true == 1 and 1.0 == 1, so each edit would decode to the original curve.
+    # true == 1 and 1.0 == 1, so each loose edit would decode to the original curve.
     text = curve_to_json(polyline([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)]))
+    vertices = encode_vertices([0, 0, 1, 0, 2, 1])
     with pytest.raises(ValueError, match=match):
-        curve_from_json(text.replace("[0,0,1,0,2,1],\"loose\":[1]", table))
+        curve_from_json(text.replace(f"\"{vertices}\",\"loose\":[1]",
+                                     table.format(table=vertices)))
 
 
 def _assert_round_trips(curve):
@@ -444,10 +461,10 @@ def test_curve_file_round_trips_every_family(spec):
     n = curve.n_segments
     if curve.is_point_cloud:
         assert doc["loose"] == list(range(n))
-        assert len(doc["vertices"]) == 4 * n
+        assert decode_vertices(doc["vertices"]).shape == (2 * n, 2)
     else:
         assert doc["loose"] == [n - 1]
-        assert len(doc["vertices"]) == 2 * (n + 1)
+        assert decode_vertices(doc["vertices"]).shape == (n + 1, 2)
 
 
 def test_curve_file_keeps_a_negative_zero_junction_loose():
@@ -490,7 +507,68 @@ def test_curve_file_round_trips_chains_broken_anywhere(points, breaks, data):
     assert doc["loose"] == [i for i in range(n - 1)
                             if segs[i, 2:4].tobytes() != segs[i + 1, 0:2].tobytes()
                             ] + [n - 1]
-    assert len(doc["vertices"]) == 2 * (n + len(doc["loose"]))
+    assert decode_vertices(doc["vertices"]).shape == (n + len(doc["loose"]), 2)
+
+
+# Any finite float64, with the edges of the range drawn often.
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308]
+_ANY_FINITE = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.integers(1, 12), st.data())
+def test_curve_file_vertex_table_round_trips_every_float64(n, data):
+    # A vertex table of n + len(loose) random points under a random loose set.
+    breaks = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    loose = np.append(np.flatnonzero(breaks), n - 1)
+    pts = np.array(data.draw(st.lists(_ANY_FINITE, min_size=2 * (n + loose.size),
+                                      max_size=2 * (n + loose.size)))).reshape(-1, 2)
+    segs = np.column_stack([pts[:n], fractals.vertex_ends(pts, loose, n)])
+    # Points near the ends of the range put the diameter beyond it; it is
+    # inf then, and is not stored.  min_seg_len is given for the same reason.
+    with np.errstate(over="ignore"):
+        curve = fractals.CurveApprox(segs, None, 1.0, CurveSpec("soup"))
+        text = curve_to_json(curve)
+        back = curve_from_json(text)
+    assert back.segments.tobytes() == curve.segments.tobytes()
+    table = decode_vertices(json.loads(text)["vertices"])
+    if curve.is_point_cloud:
+        table = table[:n]
+    assert table.tobytes() == curve.vertices().tobytes()
+
+
+def _set_unused_bit(t):
+    # The character before the padding carries 2 or 4 bits that hold no byte;
+    # a reader that ignored them would read this string as the original.
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    k = t.index("=") - 1
+    return t[:k] + alphabet[alphabet.index(t[k]) ^ 1] + t[k + 1:]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda t: t[:8] + "\n" + t[8:], lambda t: t[:8] + " " + t[8:],
+     lambda t: t[:8] + "*" + t[8:], lambda t: t[:8] + "=" + t[8:],
+     lambda t: t[:8] + "\u00e9" + t[8:], lambda t: t[:-1], lambda t: t + "\n",
+     lambda t: t + "=", _set_unused_bit],
+    ids=["newline", "space", "star", "inner-padding", "non-ascii", "cut",
+         "trailing-newline", "extra-padding", "unused-bit"],
+)
+def test_curve_file_refuses_a_stray_character_in_vertices(edit):
+    doc = json.loads(curve_to_json(koch_generalized(1.5, 2)))
+    doc["vertices"] = edit(doc["vertices"])
+    with pytest.raises(ValueError, match="vertices must be base64"):
+        curve_from_json(json.dumps(doc))
+
+
+def test_curve_file_refuses_padding_after_a_full_group():
+    # 3 points are 48 bytes, 64 characters with no padding to end them.
+    doc = json.loads(curve_to_json(polyline([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)])))
+    assert not doc["vertices"].endswith("=")
+    doc["vertices"] += "="
+    with pytest.raises(ValueError, match="vertices must be base64"):
+        curve_from_json(json.dumps(doc))
 
 
 def test_from_segments_soup():
@@ -541,9 +619,7 @@ def test_vertices_list_chain_joints_once():
     ids=[*(spec.kind for spec in SMALL_SPECS), "signed-zero-soup"],
 )
 def test_vertices_are_the_curve_file_vertex_table(curve):
-    doc = json.loads(curve_to_json(curve),
-                     parse_int=lambda v: -0.0 if v == "-0" else int(v))
-    table = np.array(doc["vertices"], dtype=float).reshape(-1, 2)
+    table = decode_vertices(json.loads(curve_to_json(curve))["vertices"])
     if curve.is_point_cloud:
         # A point cloud lists each point once: the starts that open its table.
         table = table[:curve.n_segments]

@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import encode_vertices
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -452,10 +453,10 @@ def test_cli_generate_dim_energy_pipeline(tmp_path, capsys):
 
 def test_cli_dim_refuses_a_non_finite_curve_file(tmp_path, capsys):
     path = tmp_path / "curve.json"
-    text = curve_to_json(polyline([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)]))
-    assert text.endswith("\"vertices\":[0,0,1,0,2,1],\"loose\":[1]}")
-    path.write_text(text.replace("[0,0,1,0,2,1]", "[0,0,1,0,2,NaN]"),
-                    encoding="utf-8")
+    doc = json.loads(curve_to_json(polyline([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)])))
+    assert doc["vertices"] == encode_vertices([0, 0, 1, 0, 2, 1])
+    doc["vertices"] = encode_vertices([0, 0, 1, 0, 2, math.nan])
+    path.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["dim", "--curve", str(path)]) == 1
     assert "non-finite" in capsys.readouterr().err
 
@@ -530,16 +531,22 @@ def test_cli_generate_refuses_missing_or_ignored_flags(tmp_path, capsys, argv,
         (lambda doc: [doc], "JSON object"),
         (lambda doc: {**doc, "theoretical_dim": [1.0]}, "theoretical_dim"),
         (lambda doc: {**doc, "vertices": {"a": 1}}, "vertices must be"),
-        (lambda doc: {**doc, "vertices": "0,0,1,0,2,1"}, "vertices must be"),
+        (lambda doc: {**doc, "vertices": "0,0,1,0,2,1"}, "vertices must be base64"),
         (lambda doc: {**doc, "vertices": [[0, 0], [1, 0], [2, 1]]}, "vertices must be"),
-        # Five numbers, which a reshape to pairs would refuse only by numpy.
-        (lambda doc: {**doc, "vertices": [0, 0, 1, 0, 2]}, "vertices must be x, y pairs"),
-        (lambda doc: {**doc, "vertices": [0, 0], "loose": [0]},
+        # The flat number list of the earlier text layout.
+        (lambda doc: {**doc, "vertices": [0, 0, 1, 0, 2, 1]},
+         "vertices must be a base64 string"),
+        # Five numbers: 40 bytes, which a reshape to pairs would refuse only by numpy.
+        (lambda doc: {**doc, "vertices": encode_vertices([0, 0, 1, 0, 2])},
+         "vertices must be float64 x, y pairs"),
+        (lambda doc: {**doc, "vertices": encode_vertices([0, 0]), "loose": [0]},
          "vertices must hold 2 or more points"),
         (lambda doc: {**doc, "loose": []}, "loose must be"),
-        (lambda doc: {**doc, "vertices": [0, 0, 1, 0, 2, 1, 3, 3], "loose": [1, 1]},
+        (lambda doc: {**doc, "vertices": encode_vertices([0, 0, 1, 0, 2, 1, 3, 3]),
+                      "loose": [1, 1]},
          "loose must be strictly increasing"),
-        (lambda doc: {**doc, "vertices": [0, 0, 1, 0, 2, 1, 3, 3], "loose": [-1, 1]},
+        (lambda doc: {**doc, "vertices": encode_vertices([0, 0, 1, 0, 2, 1, 3, 3]),
+                      "loose": [-1, 1]},
          "loose must lie in"),
         (lambda doc: {**doc, "loose": [0]}, "loose must end with n - 1 = 1"),
         (lambda doc: _without(doc, "vertices"), "vertices"),
@@ -551,14 +558,15 @@ def test_cli_generate_refuses_missing_or_ignored_flags(tmp_path, capsys, argv,
     ],
     ids=["empty-object", "no-min_seg_len", "top-level-list",
          "theoretical_dim-list", "vertices-object", "vertices-string",
-         "vertices-nested", "vertices-odd", "vertices-one-point", "loose-empty",
+         "vertices-nested", "vertices-number-list", "vertices-odd",
+         "vertices-one-point", "loose-empty",
          "loose-not-increasing", "loose-out-of-range", "loose-last-not-n-1",
          "no-vertices", "no-loose", "old-segments-layout"],
 )
 def test_cli_refuses_malformed_curve_files(tmp_path, capsys, edit, key):
     path = tmp_path / "curve.json"
     doc = json.loads(curve_to_json(polyline([(0, 0), (1, 0), (2, 1)])))
-    assert (doc["vertices"], doc["loose"]) == ([0, 0, 1, 0, 2, 1], [1])
+    assert (doc["vertices"], doc["loose"]) == (encode_vertices([0, 0, 1, 0, 2, 1]), [1])
     path.write_text(json.dumps(edit(doc)))
     assert cli.main(["dim", "--curve", str(path)]) == 1
     assert key in capsys.readouterr().err
@@ -605,6 +613,8 @@ _GOOD_CONFIG = {"curve": {"kind": "koch", "target_dim": 1.5, "level": 6},
         ("render", lambda rep: {**rep, "d_hat": "x"}, "d_hat"),
         ("render", lambda rep: {**rep, "d_hat": _without(rep["d_hat"], "stderr")},
          "stderr"),
+        ("render", lambda rep: {**rep, "d_hat": {**rep["d_hat"], "value": True}},
+         "value must be float"),
         ("render", lambda rep: {**rep, "f_bound": True}, "f_bound"),
         ("render", lambda rep: {**rep, "f_bound": "1.3"}, "f_bound"),
         ("render", lambda rep: {**rep, "rows": "abc"}, "rows"),
@@ -613,7 +623,7 @@ _GOOD_CONFIG = {"curve": {"kind": "koch", "target_dim": 1.5, "level": 6},
          "three-radii", "fractional-count", "misspelt-key", "one-scale",
          "polyline-without-points", "misspelt-param", "report-without-f_bound",
          "report-list", "d_hat-number", "d_hat-string", "d_hat-without-stderr",
-         "f_bound-bool", "f_bound-string", "rows-string"],
+         "d_hat-bool-value", "f_bound-bool", "f_bound-string", "rows-string"],
 )
 def test_cli_refuses_malformed_configs_and_reports(sweep_out, tmp_path, capsys,
                                                    command, doc, field):

@@ -638,6 +638,24 @@ def test_dim_estimate_validation_and_round_trip():
         DimEstimate(1.0, 0.01, (0.25, 0.01), 5, 0.99)
     with pytest.raises(ValueError):
         DimEstimate(1.0, 0.01, (0.01, 0.25), 1, 0.99)
+    with pytest.raises(ValueError, match="n_scales must be int"):
+        DimEstimate(1.0, 0.01, (0.01, 0.25), 5.5, 0.99)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        ({"value": True}, "value must be float"),
+        ({"n_scales": 5.9}, "n_scales must be int"),
+        ({"scale_mx": 0.25}, "field 'scale_mx' is unknown"),
+        ({"stderr": "abc"}, "stderr must be float"),
+    ],
+    ids=["bool-value", "fractional-n_scales", "unknown-key", "string-stderr"],
+)
+def test_dim_estimate_from_dict_refuses_a_field_by_name(edit, match):
+    d = DimEstimate(1.26, 0.02, (0.01, 0.25), 5, 0.999).to_dict()
+    with pytest.raises(ValueError, match=match):
+        DimEstimate.from_dict({**d, **edit})
 
 
 # ---------------------------------------------------------------------------
