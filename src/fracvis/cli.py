@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -145,14 +144,14 @@ def _cmd_dim(args) -> int:
         window = (args.scale_min, args.scale_max)
     est = measurelab.box_dimension(curve, scale_window=window,
                                    n_scales=args.n_scales)
-    _write_or_print(args, json.dumps(est.to_dict(), sort_keys=True), "dim.json")
+    _write_or_print(args, fractals.json_text(est.to_dict()), "dim.json")
     return 0
 
 
 def _cmd_energy(args) -> int:
     curve = fractals.read_curve(args.curve)
     est = measurelab.energy_dimension(curve, seed=args.seed)
-    _write_or_print(args, json.dumps(est.to_dict(), sort_keys=True),
+    _write_or_print(args, fractals.json_text(est.to_dict()),
                     "energy.json")
     return 0
 
@@ -187,7 +186,7 @@ def _cmd_constants(args) -> int:
     consts = measurelab.mass_bound_constants(
         args.s, args.xi, args.m, args.d_minus, args.d_plus, args.r1
     )
-    _write_or_print(args, json.dumps(consts.to_dict(), sort_keys=True),
+    _write_or_print(args, fractals.json_text(consts.to_dict()),
                     "constants.json")
     return 0
 

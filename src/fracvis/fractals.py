@@ -107,6 +107,20 @@ def _as_kind(value, kind, name: str):
     raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
+def json_text(obj) -> str:
+    """The one JSON text fracvis writes for ``obj``: sorted keys, no spaces.
+
+    Floats are written as ``repr`` writes them, so each reads back bit for
+    bit, ``-0.0`` included.  Raises ValueError for a NaN or an infinity,
+    which JSON has no number for.
+    """
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+    except ValueError:
+        raise ValueError("cannot serialize non-finite number") from None
+
+
 @dataclass(frozen=True)
 class CurveSpec:
     """Recipe for a curve: family, parameters, and RNG seed."""
@@ -374,7 +388,7 @@ def circle(center, radius: float, n: int) -> CurveApprox:
     pts = c + radius * np.column_stack([np.cos(ang), np.sin(ang)])
     segs = _chain_to_segments(pts, closed=True)
     spec = CurveSpec("circle", params={"cx": float(c[0]), "cy": float(c[1]),
-                                       "radius": float(radius), "n": n})
+                                       "radius": float(radius), "n": int(n)})
     return CurveApprox(segs, 1.0, None, spec)
 
 
@@ -530,19 +544,6 @@ def points_at_arclength(table: tuple, fractions) -> np.ndarray:
 # Curve files
 # ---------------------------------------------------------------------------
 
-_FLOAT_FMT = ".17g"
-
-
-def _fnum(v) -> str:
-    if v is None:
-        return "null"
-    s = format(float(v), _FLOAT_FMT)
-    # JSON requires a leading digit form for infinities / nan to be avoided.
-    if s in ("inf", "-inf", "nan"):
-        raise ValueError("cannot serialize non-finite number")
-    return s
-
-
 def curve_to_json(curve: CurveApprox) -> str:
     """Serialize a curve as a vertex table of float64 bytes.
 
@@ -550,46 +551,21 @@ def curve_to_json(curve: CurveApprox) -> str:
     pairs of the n segment starts, then of the end of each segment in
     ``loose`` (:func:`loose_segments`), in its order; so a chain of n
     segments stores n + 1 points and a point cloud 2n, each bit for bit.
-    The document is built by hand so that identical curves always produce
-    byte-identical files.
+    The text is :func:`json_text` of the five keys.
     """
-    spec = curve.spec
-
-    def _pval(v):
-        if isinstance(v, bool) or v is None or isinstance(v, str):
-            return json.dumps(v)
-        if isinstance(v, list):
-            return f"[{','.join(_pval(x) for x in v)}]"
-        # "-0" would read back as the integer 0; "-0.0" reads back as -0.0.
-        return "-0.0" if v == 0 and math.copysign(1.0, v) < 0 else _fnum(v)
-
-    params_items = ",".join(
-        f"{json.dumps(k)}:{_pval(v)}" for k, v in sorted(spec.params.items())
-    )
-    spec_json = (
-        "{"
-        f"\"kind\":{json.dumps(spec.kind)},"
-        f"\"target_dim\":{_fnum(spec.target_dim)},"
-        f"\"level\":{spec.level},"
-        f"\"seed\":{spec.seed},"
-        f"\"params\":{{{params_items}}}"
-        "}"
-    )
     segs = curve.segments
     if not np.all(np.isfinite(segs)):
         raise ValueError("cannot serialize non-finite number")
     loose = loose_segments(segs)
     verts = np.concatenate([segs[:, 0:2].ravel(), segs[loose, 2:4].ravel()])
     table = binascii.b2a_base64(verts.astype("<f8", copy=False), newline=False)
-    return (
-        "{"
-        f"\"spec\":{spec_json},"
-        f"\"theoretical_dim\":{_fnum(curve.theoretical_dim)},"
-        f"\"min_seg_len\":{_fnum(curve.min_seg_len)},"
-        f"\"vertices\":\"{table.decode('ascii')}\","
-        f"\"loose\":[{','.join(map(str, loose.tolist()))}]"
-        "}"
-    )
+    head = json_text({"spec": curve.spec.to_dict(),
+                      "theoretical_dim": curve.theoretical_dim,
+                      "min_seg_len": curve.min_seg_len,
+                      "loose": loose.tolist()})
+    # "vertices" sorts last; appending it spares json.dumps a scan of the
+    # whole base64 table for characters to escape, as it has none.
+    return f"{head[:-1]},\"vertices\":\"{table.decode('ascii')}\"}}"
 
 
 def write_curve(curve: CurveApprox, path) -> None:

@@ -389,18 +389,11 @@ def nearest_dist(p, segs: np.ndarray, edges: np.ndarray, boxes: np.ndarray,
 # ---------------------------------------------------------------------------
 
 # Most expanded items (sweep candidates or window pairs) held at once.
-# Before the visibility block pass, koch-ring's speed leaned on this size
-# through glibc's dynamic mmap threshold: the crossing search's first full
-# pair block (2 MiB; Koch L7 has 354,063 x-overlap pairs) lifted the
-# threshold to about 2 MiB, so the sweep's 128 KiB per-segment temporaries
-# were reused from the heap, and 1 << 16 slowed koch-ring's wall time by
-# 15-18% on a 2-core host.  The sweep now takes only the surviving blocks'
-# segments, about a quarter of L7's, and its 30 KiB temporaries fall below the
-# initial 128 KiB threshold: with 1 << 16, koch-ring's median wall time
-# over 4 alternating pairs stayed at 0.59 s and its peak RSS fell from
-# 53.7 to 49.9 MB.  A smaller block, or a crossing search that frees
-# smaller blocks, no longer costs koch-ring its speed.
-_CHUNK = 1 << 18
+# It bounds the largest temporaries of the crossing search and of the
+# sweep, so it sets part of a sweep's peak memory: koch-ring peaks about
+# 4 MB lower than at 1 << 18, at the same wall time.  Each block pays
+# numpy's per-call costs once, so a much smaller budget costs time.
+_CHUNK = 1 << 16
 
 
 def _blocks(counts: np.ndarray):

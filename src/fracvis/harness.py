@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import svg as svgmod
-from .fractals import CurveApprox, CurveSpec, check_keys, coerce_fields, generate
+from .fractals import (CurveApprox, CurveSpec, check_keys, coerce_fields, generate,
+                       json_text)
 from . import geom
 from .geom import EPS_GEOM, TWO_PI, point_segments_dist
 from .measurelab import DimEstimate, box_dimension, default_scale_window
@@ -209,7 +210,7 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return json_text(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -230,8 +231,7 @@ class ExperimentConfig:
     def experiment_id(self) -> str:
         """Content hash of the scientific inputs; where results land is not one."""
         payload = {k: v for k, v in self.to_dict().items() if k != "output_dir"}
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+        return hashlib.sha256(json_text(payload).encode("utf-8")).hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +431,7 @@ class BoundReport:
         return {**vars(self), "d_hat": d_hat}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return json_text(self.to_dict())
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

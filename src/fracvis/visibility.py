@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom
-from .fractals import (CurveApprox, DiscreteMeasure, _fnum, arclength_table,
+from .fractals import (CurveApprox, DiscreteMeasure, arclength_table, json_text,
                        loose_segments, points_at_arclength, vertex_ends)
 from .geom import (
     EPS_GEOM,
@@ -591,9 +591,9 @@ def visible_set(curve: CurveApprox, x,
     # before the first break can only continue the last run across the
     # wrap (then kc[0] = 0 and kc[-1] = m - 1).
     prev = (kc - 1) % m
+    # Some position breaks: no span holds all m probes, so no one winner
+    # covers them all.
     breaks = (~covered[prev]) | (winner[prev] != sc) | (widths[kc] <= 0.0)
-    if not np.any(breaks):
-        breaks[0] = True  # fully surrounded by one segment cannot happen; guard
     run_starts = np.nonzero(breaks)[0]
     run_ends = np.append(run_starts[1:], kc.size) - 1
     # A run's width is its end event minus its start event, plus 2 pi for
@@ -700,15 +700,13 @@ def sample_visible(vs: VisibleSet, n: int):
 
 
 def visible_set_to_json(vs: VisibleSet) -> str:
-    rows = ",".join(
-        f"[{p},{_fnum(x0)},{_fnum(y0)},{_fnum(x1)},{_fnum(y1)}]"
-        for p, (x0, y0, x1, y1) in zip(vs.parents.tolist(), vs.segments.tolist())
-    )
-    return (
-        "{"
-        f"\"viewpoint\":[{_fnum(vs.viewpoint.x)},{_fnum(vs.viewpoint.y)}],"
-        f"\"pieces\":[{rows}],"
-        f"\"total_length\":{_fnum(vs.total_length)},"
-        f"\"angular_coverage\":{_fnum(vs.angular_coverage)}"
-        "}"
-    )
+    """The :func:`json_text` of a visible set: its viewpoint, its pieces as
+    ``[parent, x0, y0, x1, y1]`` rows, its total length and its angular
+    coverage."""
+    return json_text({
+        "viewpoint": [vs.viewpoint.x, vs.viewpoint.y],
+        "pieces": [[p, *row] for p, row in zip(vs.parents.tolist(),
+                                               vs.segments.tolist())],
+        "total_length": vs.total_length,
+        "angular_coverage": vs.angular_coverage,
+    })

@@ -21,6 +21,7 @@ from fracvis.fractals import (
     curve_to_json,
     from_segments,
     generate,
+    json_text,
     koch_generalized,
     polyline,
     quasicircle,
@@ -302,17 +303,45 @@ def test_generate_refuses_what_its_family_does_not_read(spec, key):
 @pytest.mark.parametrize(
     "make, digest",
     [
-        # Both re-recorded when `vertices` became base64 float64 bytes; the
-        # other keys are unchanged, and the bytes decode to the same points.
+        # Both re-recorded when the file came to be written by json_text, with
+        # sorted keys and floats as repr writes them; the earlier text and
+        # this one read back to bitwise-equal segments and equal specs.
         (lambda: koch_generalized(1.5, 4),
-         "7c646deacde11c2df74db06095cb2b3d94c427a799fb9497addafeca461ae5f2"),
+         "a2628ba3764e46cce0ae399080646410e3ac95323e2219e1a36c1c84815b4674"),
         (lambda: quasicircle(3, 0.6, 6),
-         "7bd9b9bfa164e45247bdaf92727839b195734e0df90928dd1a2eae5030ac5638"),
+         "b2cf7de83778277732c160641d495dee3dd09942f2b04b6af1507d21c28638d0"),
     ],
     ids=["koch", "quasicircle"],
 )
 def test_benchmark_curve_file_bytes_are_pinned(make, digest):
     assert hashlib.sha256(curve_to_json(make()).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("make", [lambda: koch_generalized(1.5, 4),
+                                  lambda: cantor_cross(0.25, 2)],
+                         ids=["chain", "point-cloud"])
+def test_curve_json_appends_vertices_to_the_json_text_of_the_rest(make):
+    text = curve_to_json(make())
+    assert text == json_text(json.loads(text))
+
+
+# A polyline's file as written before the keys were sorted, with floats as
+# %.17g text: the spec's integral points read back as integers.
+_UNSORTED_FILE = (
+    '{"spec":{"kind":"polyline","target_dim":null,"level":0,"seed":0,'
+    '"params":{"points":[0,-0.0,0.10000000000000001,0,2,1]}},'
+    '"theoretical_dim":1,"min_seg_len":0.10000000000000001,'
+    '"vertices":"AAAAAAAAAAAAAAAAAAAAgJqZmZmZmbk/AAAAAAAAAAAAAAAAAAAAQAAAAAAAAPA/",'
+    '"loose":[1]}')
+
+
+def test_curve_file_of_the_unsorted_layout_still_reads():
+    curve = polyline([(0.0, -0.0), (0.1, 0.0), (2.0, 1.0)])
+    back = curve_from_json(_UNSORTED_FILE)
+    assert back.segments.tobytes() == curve.segments.tobytes()
+    assert back.spec == curve.spec
+    assert back.theoretical_dim == curve.theoretical_dim
+    assert back.min_seg_len == curve.min_seg_len
 
 
 def test_curve_json_round_trip(tmp_path, koch5):
@@ -368,9 +397,10 @@ def test_curve_json_rows_match_per_coordinate_format():
     assert len(loose) < n
     table = [*segs[:, 0:2].ravel(), *segs[loose, 2:4].ravel()]
     want = encode_vertices(table)
-    assert curve_to_json(soup).endswith(
-        f"\"vertices\":\"{want}\",\"loose\":[{','.join(map(str, loose))}]}}")
-    back = curve_from_json(curve_to_json(soup))
+    text = curve_to_json(soup)
+    assert text.startswith(f"{{\"loose\":[{','.join(map(str, loose))}],")
+    assert text.endswith(f"\"vertices\":\"{want}\"}}")
+    back = curve_from_json(text)
     assert back.segments.tobytes() == soup.segments.tobytes()
 
 
@@ -411,25 +441,28 @@ def test_curve_json_reader_rejects_non_finite_coordinates(bad):
 
 
 @pytest.mark.parametrize(
-    "table, match",
+    "loose, table, match",
     [
-        ("true,\"loose\":[1]", "vertices must be a base64 string"),
-        ("[0,0,1,0,2,true],\"loose\":[1]", "vertices must be a base64 string"),
-        ("\"{table}\",\"loose\":[true]", "loose must be"),
-        ("\"{table}\",\"loose\":[1.0]", "loose must be"),
+        ("[1]", "true", "vertices must be a base64 string"),
+        ("[1]", "[0,0,1,0,2,true]", "vertices must be a base64 string"),
+        ("[true]", "\"{table}\"", "loose must be"),
+        ("[1.0]", "\"{table}\"", "loose must be"),
         # JSON's -0 is the integer 0, which does not end the table at n - 1.
-        ("\"{table}\",\"loose\":[-0]", "loose must"),
+        ("[-0]", "\"{table}\"", "loose must"),
     ],
     ids=["bool-vertex", "list-with-bool", "bool-loose", "float-loose",
          "negative-zero-loose"],
 )
-def test_curve_json_reader_refuses_bools_and_non_integers(table, match):
+def test_curve_json_reader_refuses_bools_and_non_integers(loose, table, match):
     # true == 1 and 1.0 == 1, so each loose edit would decode to the original curve.
     text = curve_to_json(polyline([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)]))
     vertices = encode_vertices([0, 0, 1, 0, 2, 1])
+    head, tail = "{\"loose\":[1],", f"\"vertices\":\"{vertices}\"}}"
+    assert text.startswith(head) and text.endswith(tail)
+    edited = (f"{{\"loose\":{loose},{text[len(head):-len(tail)]}"
+              f"\"vertices\":{table.format(table=vertices)}}}")
     with pytest.raises(ValueError, match=match):
-        curve_from_json(text.replace(f"\"{vertices}\",\"loose\":[1]",
-                                     table.format(table=vertices)))
+        curve_from_json(edited)
 
 
 def _assert_round_trips(curve):

@@ -1,5 +1,6 @@
 """Bound formulas, experiment configs, the sweep runner, and the CLI."""
 
+import dataclasses
 import json
 import math
 from unittest import mock
@@ -16,10 +17,13 @@ from fracvis.fractals import (
     curve_to_json,
     from_segments,
     generate,
+    json_text,
     polyline,
+    read_curve,
     write_curve,
 )
 from fracvis.geom import point_segments_dist
+from fracvis.measurelab import box_dimension, energy_dimension
 from fracvis.visibility import (
     VisibleSet,
     sample_visible,
@@ -27,9 +31,12 @@ from fracvis.visibility import (
     visible_set_to_json,
 )
 from fracvis.harness import (
+    MIN_EXCEPTIONAL_POINTS,
     EstimatorPlan,
     ExperimentConfig,
+    SweepRow,
     ViewpointPlan,
+    aggregate_report,
     bound_value,
     exceptional_bound,
     plan_viewpoints,
@@ -396,6 +403,53 @@ def test_read_results_csv_rejects_malformed(sweep_out, tmp_path):
         read_results_csv(worse)
 
 
+def test_sweep_with_a_fixed_scale_window_counts_boxes_in_it(tmp_path):
+    # Dyadic ends, so the window's scales are the estimates' own; the auto
+    # window of this curve would be about (0.016, 0.25).
+    window = (1 / 64, 1 / 8)
+    config = dataclasses.replace(
+        tiny_config(tmp_path),
+        estimator=EstimatorPlan(scale_policy="fixed", scale_window=window))
+    report = run_sweep(config, workers=1, render=False)
+    assert report.d_hat.scale_window == window
+    doc = json.loads((tmp_path / "report.json").read_text())
+    estimates = [doc["d_hat"]] + [row["dim_visible"] for row in doc["rows"]]
+    assert len(estimates) == 1 + config.viewpoints.count
+    for est in estimates:
+        assert (est["scale_min"], est["scale_max"], est["n_scales"]) == (*window, 4)
+
+
+def _rows_at(points, dim: float) -> list:
+    return [SweepRow(vp_index=i, vp_x=float(x), vp_y=float(y), dist_to_set=1.0,
+                     dim_visible=dim) for i, (x, y) in enumerate(points)]
+
+
+@pytest.mark.parametrize(
+    "points, flag",
+    [
+        ([(i % 5, i // 5) for i in range(25)], "ok"),
+        ([(i, 0) for i in range(MIN_EXCEPTIONAL_POINTS - 1)], "insufficient sample"),
+        ([(2.0, 3.0)] * MIN_EXCEPTIONAL_POINTS, "degenerate"),
+    ],
+    ids=["spread", "too-few", "one-point"],
+)
+def test_report_scores_the_exceptional_set_of_the_second_bound(points, flag):
+    # Every row sees more than s_threshold = 1.5, next to 5 rows that do not.
+    quiet = _rows_at([(-9.0, -9.0)] * 5, 1.2)
+    rows = _rows_at(points, 1.7) + quiet
+    report = aggregate_report(rows, 1.8, 0.05, 1.5)
+    assert report.exceptional_set_flag == flag
+    assert report.exceptional_set_fraction == len(points) / len(rows)
+    doc = json.loads(report.to_json())
+    assert doc["exceptional_set_flag"] == flag
+    if flag == "ok":
+        assert math.isfinite(report.exceptional_set_dim)
+        assert doc["exceptional_set_dim"] == report.exceptional_set_dim
+    else:
+        assert report.exceptional_set_dim is None
+        assert doc["exceptional_set_dim"] is None
+
+
 def test_verify_bound_matches_sweep_report(sweep_out):
     out, report = sweep_out
     cfg = tiny_config(out)
@@ -447,8 +501,14 @@ def test_cli_generate_dim_energy_pipeline(tmp_path, capsys):
     assert curve_path.exists()
     rc = cli.main(["dim", "--curve", str(curve_path)])
     assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["value"] == pytest.approx(1.4461338383611861, abs=1e-9)
+    out = capsys.readouterr().out
+    assert json.loads(out)["value"] == pytest.approx(1.4461338383611861, abs=1e-9)
+    curve = read_curve(curve_path)
+    assert out == json_text(box_dimension(curve).to_dict()) + "\n"
+    rc = cli.main(["--seed", "3", "energy", "--curve", str(curve_path)])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        json_text(energy_dimension(curve, seed=3).to_dict()) + "\n")
 
 
 def test_cli_dim_refuses_a_non_finite_curve_file(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import struct
 import subprocess
 import sys
 from unittest import mock
@@ -281,7 +282,7 @@ def test_visible_pieces_subsets_of_parents_level7(koch7):
 
 
 def test_visible_set_json_round_trip(koch5):
-    # 17 significant digits give back every float exactly.
+    # repr's shortest digits give back every float exactly.
     vs = visible_set(koch5, (0.5, -0.7))
     doc = json.loads(visible_set_to_json(vs))
     rows = np.array(doc["pieces"], dtype=float).reshape(-1, 5)
@@ -290,6 +291,21 @@ def test_visible_set_json_round_trip(koch5):
     assert doc["total_length"] == vs.total_length
     assert doc["angular_coverage"] == vs.angular_coverage
     assert doc["viewpoint"] == [vs.viewpoint.x, vs.viewpoint.y]
+
+
+def test_visible_set_json_keeps_floats_and_the_sign_of_zero():
+    # %.17g text wrote this set's viewpoint as [-0,0] and its total length
+    # as 2, which JSON reads as integers.
+    vs = visible_set(polyline([(-1, 1), (1, 1)]), (-0.0, 0.0))
+    doc = json.loads(visible_set_to_json(vs))
+    want = [vs.viewpoint.x, vs.viewpoint.y, vs.total_length, vs.angular_coverage,
+            *vs.segments.ravel().tolist()]
+    got = [*doc["viewpoint"], doc["total_length"], doc["angular_coverage"],
+           *(v for row in doc["pieces"] for v in row[1:])]
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert math.copysign(1.0, doc["viewpoint"][0]) == -1.0
+    assert [row[0] for row in doc["pieces"]] == vs.parents.tolist() == [0]
 
 
 def test_visible_set_json_keys(square):
@@ -630,56 +646,72 @@ _DIGEST_VIEWS = dict(zip(["koch-classic-L5", "koch-1.5-L5", "quasicircle-L8",
 _DIGEST_VIEWS["soup-x"] = (_self_crossing_soup, [(2.05, 0.0), (0.4, 0.0), (-1e6, 1e6)])
 _DIGEST_VIEWS["no-pieces"] = (_collinear_pair, [(0.0, 0.0)])
 
-# sha256 of visible_set_to_json for each view of _DIGEST_VIEWS, in order.
+def _geometry_digest(vs) -> str:
+    """sha256 of a visible set's parents, segments and lengths bytes, then of
+    the bits of its total_length, angular_coverage and dist_to_set."""
+    h = hashlib.sha256()
+    h.update(np.asarray(vs.parents, "<i8").tobytes())
+    h.update(np.asarray(vs.segments, "<f8").tobytes())
+    h.update(np.asarray(vs.lengths, "<f8").tobytes())
+    h.update(struct.pack("<3d", vs.total_length, vs.angular_coverage,
+                         vs.viewpoint.dist_to_set))
+    return h.hexdigest()
+
+
+# _geometry_digest of each view of _DIGEST_VIEWS, in order.  Recorded from
+# the sets whose visible_set_to_json text still had the digests pinned at
+# cc01cb7, so they keep that lineage without depending on the JSON writer.
 _DIGESTS = {
     "koch-classic-L5": [
-        "d4e963b97a5c0cfb3a8a8aaae0a2fc09ebe9b300af61717900a562490f4eed72",
-        "61c7cec12ab06249d9186a3df7c60e6c3dd2362f4102b5c93e2e630b183c7e02",
-        "2c9e9c8db16e7c8e81902ba77bd1ad9caa3bf9eff9e4c3b85463cc9271a5c0b5",
+        "03780682891bf2de818ba74bf5f34c956bc91d93f71426515522a0bec0574275",
+        "570b2dd91d1a3f3868b798f4c7da47f7af22347a86e31bcf0f70d33a149b0834",
+        "cfadd474cfe372c6b25a6895ca4808347b11fa938a8e937ac97d716d03a6883a",
     ],
     "koch-1.5-L5": [
-        "e6bdf51a97800662bc80adc012c38993e04abc017965139d8ee5ed36640bbc17",
-        "1643f4bece06b64832cd1d1f61173c35f526cfbcc5788b14076c3f082617033f",
-        "2123d0a339e4df364f583d9c4a2184cb0f90c8e1c7488311e809f39620edf47c",
+        "dc5eccbcea7f01e823aaf6acf7d9e432b6ea00b82ee29ea131514d05d9afd4eb",
+        "d043ee168f7d395c830ad9b88d7f14f554fc9f960828c279d3fa592e7b754e61",
+        "2b0319ae8b622ece939ad6ac542a78c0d75e26d3d990b22a64378c7747110370",
     ],
     "quasicircle-L8": [
-        "e943285ae14338b06fda03fddbb49f07f74c160d5f63b8dc1c6acfe827703e8e",
-        "e954b10e597f499a20ff03cc272347be2081e7ff58dd91f251a556183335761b",
-        "c29ecf49013cccb4633f140e1797ff170715bbbac293762ce5d6e4d82eca19b4",
+        "f73f42b8205182e418c8ee27b0a4fb5a3fb08bbd568f903ac71226a062557b57",
+        "b5b73598dc4902b61bcf67b90cd26c100ed869c2f80e7087ae7381ab64091c22",
+        "b3633f9fd3e272780248913ba5f1b70a84e72b65eb7c40d53a7501a9c15fc9a2",
     ],
     "soup-60": [
-        "190874ee959d37a1ac4a4eb8c73d91030288f0889e0168c9c81fd2063946261b",
-        "4b89ca1f262b451f1c9b483e2e794098b337be6521a7d7a4629ae25ce9282e1b",
-        "82f5c117e3f49076ba3c3a24b854943815c3d0c53666cce3e41685f15e3eb75e",
+        "28cdacf61091ad9afeb5963e49f928bf7190fa5ac3b00c74d1b43ab4d351a265",
+        "afac612fab242267b8f4b2ea1d902327bf6a2c55bb4c4db97486b48fc0fb1318",
+        "6dc35b16a9e5131c6c5e0d8b1890fc2eae6572708eb2a5f640e6924191231750",
     ],
     "soup-x": [
-        "ec03f06ac4024491cb647f52f8db17a6f95af1f8ec7bb642d1d205f1fae15882",
-        # Re-recorded when run ends came to be cut on the event angle itself,
-        # not on the first event plus 2 pi, reduced: the wall piece's top end
-        # moved from y = 0.29999999999999988 to 0.29999999999999999.
-        "1ca10bcb6786fe978983df2d9a62803d91f9a49a8f38863a9f8108c6005f4dda",
-        "b3caf82347590f478f4866d39af041a3125534ca681478c13a10d3028be0aec0",
+        "224c5c6122befba62af7cdf32b0467a29bb2545d7670aa11434572130a595bad",
+        # Its text digest was re-recorded when run ends came to be cut on the
+        # event angle itself, not on the first event plus 2 pi, reduced: the
+        # wall piece's top end moved from y = 0.29999999999999988 to
+        # 0.29999999999999999.
+        "a19139a746ceccbcbd9120c200fce532c3929801ccef5885ddb47bd190d290df",
+        "fe4dea7b91c4494213744b1a30b60494442c70425f9bb8fc351247569c1bfe73",
     ],
     "no-pieces": [
-        "2a53769cdd555d26689af0877eca84980ad3c77dff0fd28ef360c71c7a3d7697",
+        "04ae04134c8318578c932394683055fea108f3f586ff5b055613752c5f03e6f5",
     ],
 }
 
 
 @pytest.mark.parametrize("name", list(_DIGEST_VIEWS))
 def test_visible_set_json_keeps_the_piece_object_digests(name):
-    """The column assembly writes the bytes the piece-object one wrote.
+    """The column assembly computes the sets the piece-object one computed.
 
-    The digests were recorded at commit cc01cb7, whose visible_set built one
-    VisiblePiece per run and sorted them with a tuple key, on an x86-64
-    Linux host (numpy 2.4.6, glibc's libm).  Views sit near, inside and
+    The sets were first pinned at commit cc01cb7, whose visible_set built
+    one VisiblePiece per run and sorted them with a tuple key, by the
+    digests of their JSON text, on an x86-64 Linux host (numpy 2.4.6,
+    glibc's libm); these digests of the same sets' bytes replaced them when
+    that text came to be written by json_text.  Views sit near, inside and
     about 1e6 diameters from each curve; the last has no visible piece.  A
     libm that rounds arctan2, cos or sin otherwise may change them.
     """
     make, views = _DIGEST_VIEWS[name]
     curve = make()
-    got = [hashlib.sha256(visible_set_to_json(visible_set(curve, x)).encode())
-           .hexdigest() for x in views]
+    got = [_geometry_digest(visible_set(curve, x)) for x in views]
     assert got == _DIGESTS[name]
 
 
