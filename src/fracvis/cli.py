@@ -40,14 +40,16 @@ def build_parser() -> _Parser:
     g.add_argument("--kind", required=True, choices=list(fractals.FAMILIES))
     g.add_argument("--target-dim", type=float)
     g.add_argument("--level", type=int, default=5)
-    g.add_argument("--roughness", type=float)
-    g.add_argument("--ratio", type=float,
-                   help="contraction ratio for cantor_cross")
-    g.add_argument("--radius", type=float)
-    g.add_argument("--center", type=float, nargs=2)
-    g.add_argument("--n", type=int, help="segment count for circle")
-    g.add_argument("--points", type=float, nargs="+",
-                   help="flat x y list for polyline")
+    takers = {}  # param -> [its kind, then "family: default" per family]
+    for family, (_, _, table) in fractals.FAMILIES.items():
+        for name, (kind, default) in table.items():
+            takers.setdefault(name, [kind]).append(f"{family}: " + (
+                "required" if default is None else f"default {default}"))
+    for name, (kind, *help_) in takers.items():
+        shape = ({"type": kind[0], "nargs": "+"} if isinstance(kind, list)
+                 else {"type": kind[0], "nargs": len(kind)}
+                 if isinstance(kind, tuple) else {"type": kind})
+        g.add_argument(f"--{name}", **shape, help="; ".join(help_))
 
     v = sub.add_parser("visible", help="exact visible set from a viewpoint")
     v.add_argument("--curve", required=True)
@@ -110,17 +112,14 @@ def _write_or_print(args, text: str, default_name: str) -> None:
 
 def _cmd_generate(args) -> int:
     # --level and --seed always have a value, so they go only to the families
-    # that read them; generate() refuses every other flag a family ignores.
-    if args.points is not None and (len(args.points) < 4 or len(args.points) % 2):
-        raise ValueError("polyline needs --points x1 y1 x2 y2 ...")
-    cx, cy = args.center or (None, None)
-    flags = {"roughness": args.roughness, "ratio": args.ratio, "cx": cx,
-             "cy": cy, "radius": args.radius, "n": args.n, "points": args.points}
+    # that read them; CurveSpec refuses every other flag a family ignores.
     _, reads, _ = fractals.FAMILIES[args.kind]
     always = {"level": args.level, "seed": args.seed}
+    given = {name: getattr(args, name) for _, _, table
+             in fractals.FAMILIES.values() for name in table}
     spec = fractals.CurveSpec(
         args.kind, args.target_dim,
-        params={name: v for name, v in flags.items() if v is not None},
+        params={name: v for name, v in given.items() if v is not None},
         **{name: v for name, v in always.items() if name in reads})
     curve = fractals.generate(spec)
     _write_or_print(args, fractals.curve_to_json(curve), "curve.json")

@@ -123,7 +123,14 @@ def json_text(obj) -> str:
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """Recipe for a curve: family, parameters, and RNG seed."""
+    """Recipe for a curve: family, parameters, and RNG seed.
+
+    A spec of a kind in :data:`FAMILIES` names one curve: it refuses, with
+    a ValueError naming the key, an unknown param, a param of the wrong
+    kind, a missing required param or field, and an unread field set away
+    from its default; and it stores each param as its kind, a missing one
+    as its default.
+    """
 
     kind: str
     target_dim: float | None = None
@@ -134,6 +141,24 @@ class CurveSpec:
     def __post_init__(self):
         coerce_fields(self, kind=str, target_dim=float, level=int, seed=int,
                       params=dict)
+        if self.kind not in FAMILIES:
+            return
+        _, reads, kinds = FAMILIES[self.kind]
+        unknown = sorted(set(self.params) - set(kinds))
+        if unknown:
+            raise ValueError(f"{self.kind} has unknown param {unknown[0]!r}")
+        for name in ("target_dim", "level", "seed"):
+            value = getattr(self, name)  # the class attribute is the default
+            if name not in reads and value != getattr(CurveSpec, name):
+                raise ValueError(f"{self.kind} does not read {name!r}")
+            if name in reads and value is None:
+                raise ValueError(f"{self.kind} lacks required field {name!r}")
+        params = {}
+        for name, (kind, default) in kinds.items():
+            if name not in self.params and default is None:
+                raise ValueError(f"{self.kind} lacks required param {name!r}")
+            params[name] = _as_kind(self.params.get(name, default), kind, name)
+        object.__setattr__(self, "params", params)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -387,8 +412,8 @@ def circle(center, radius: float, n: int) -> CurveApprox:
     ang = 2.0 * math.pi * np.arange(n) / n
     pts = c + radius * np.column_stack([np.cos(ang), np.sin(ang)])
     segs = _chain_to_segments(pts, closed=True)
-    spec = CurveSpec("circle", params={"cx": float(c[0]), "cy": float(c[1]),
-                                       "radius": float(radius), "n": int(n)})
+    spec = CurveSpec("circle", params={"center": c.tolist(), "radius": radius,
+                                       "n": n})
     return CurveApprox(segs, 1.0, None, spec)
 
 
@@ -402,8 +427,7 @@ def polyline(points) -> CurveApprox:
     if np.any(steps <= 0.0):
         raise ValueError("consecutive polyline points must be distinct")
     segs = _chain_to_segments(pts, closed=False)
-    spec = CurveSpec("polyline",
-                     params={"points": [float(v) for v in pts.ravel()]})
+    spec = CurveSpec("polyline", params={"points": pts.ravel().tolist()})
     return CurveApprox(segs, 1.0, None, spec)
 
 
@@ -435,52 +459,25 @@ def cantor_cross(ratio: float, level: int) -> CurveApprox:
 
 # The one definition of each curve family: kind -> (builder, the CurveSpec
 # fields it reads, {param: (kind, default)}); a param whose default is None
-# is required.  generate() and `fracvis generate` read only this table.
+# is required.  CurveSpec, generate() and `fracvis generate` read only this.
 FAMILIES = {
     "koch": (koch_generalized, ("target_dim", "level"), {}),
     "quasicircle": (quasicircle, ("level", "seed"),
                     {"roughness": (float, QUASI_ROUGHNESS)}),
-    "circle": (lambda cx, cy, **kw: circle((cx, cy), **kw), (),
-               {"cx": (float, 0.0), "cy": (float, 0.0), "radius": (float, 1.0),
-                "n": (int, 4096)}),
+    "circle": (circle, (), {"center": ((float, float), (0.0, 0.0)),
+                            "radius": (float, 1.0), "n": (int, 4096)}),
     "polyline": (polyline, (), {"points": ([float], None)}),
     "cantor_cross": (cantor_cross, ("level",), {"ratio": (float, 1.0 / 3.0)}),
 }
 
 
 def generate(spec: CurveSpec) -> CurveApprox:
-    """Materialise a curve from its spec, as its :data:`FAMILIES` entry says.
-
-    Raises ValueError naming the key for an unknown kind or param, a param
-    of the wrong kind, a missing required param or field, and a field the
-    family does not read set away from its CurveSpec default; so a spec
-    names exactly one curve.
-    """
+    """Materialise a curve from its spec, as its :data:`FAMILIES` entry says."""
     if spec.kind not in FAMILIES:
         raise ValueError(f"unknown curve kind {spec.kind!r}; "
                          f"choose from {sorted(FAMILIES)}")
-    build, reads, params = FAMILIES[spec.kind]
-    unknown = sorted(set(spec.params) - set(params))
-    if unknown:
-        raise ValueError(f"{spec.kind} has unknown param {unknown[0]!r}")
-    args, blank = {}, CurveSpec(spec.kind)
-    for name in ("target_dim", "level", "seed"):
-        value = getattr(spec, name)
-        if name not in reads:
-            if value != getattr(blank, name):
-                raise ValueError(f"{spec.kind} does not read {name!r}")
-        elif value is None:
-            raise ValueError(f"{spec.kind} lacks required field {name!r}")
-        else:
-            args[name] = value
-    for name, (kind, default) in params.items():
-        if name in spec.params:
-            args[name] = _as_kind(spec.params[name], kind, name)
-        elif default is None:
-            raise ValueError(f"{spec.kind} lacks required param {name!r}")
-        else:
-            args[name] = default
-    return build(**args)
+    build, reads, _ = FAMILIES[spec.kind]
+    return build(**{name: getattr(spec, name) for name in reads}, **spec.params)
 
 
 # ---------------------------------------------------------------------------

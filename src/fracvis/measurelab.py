@@ -663,7 +663,8 @@ def mass_bound_constants(s: float, xi: float, M: float, d_minus: float,
     The thresholds ``r2``, ``d1`` and ``d2`` can be far below the smallest
     normal double (``d0 ** (1 / (s - 1 - xi))`` with ``xi`` close to
     ``s - 1``).  Rounding them up would claim a larger threshold than the
-    estimates allow, so such inputs raise ``ValueError`` instead.
+    estimates allow, so such inputs raise ``ValueError`` instead, as do
+    inputs that take a step of the chain out of double range (a tiny ``M``).
     """
     if not s > 1.0:
         raise ValueError("require s > 1")
@@ -679,30 +680,32 @@ def mass_bound_constants(s: float, xi: float, M: float, d_minus: float,
         raise ValueError("require M > 0")
 
     p = 2.0 + xi - s
-    d0 = (M / 12.0) * 2.0 ** (-s / 2.0)
-    r2 = min(
-        r1 / math.sqrt(2.0),
-        (math.sqrt(3.0) / 2.0) * d_minus,
-        (d_minus / d0) ** (1.0 / p),
-        d0 ** (1.0 / (s - 1.0 - xi)),
-    )
-    alpha0 = 60.0 * d_plus / d_minus
-    alpha1 = ((alpha0 + 1.0) / d0) ** (1.0 / p)
-    d1 = min((r2 / alpha1) ** p, d_minus / alpha0)
-    c1 = 2.0 ** (5.0 + s / 2.0) * alpha1 ** (s - 1.0) * (d_plus / d_minus)
-    d2 = (5.0 / (2.0 ** 1.5 * alpha0)) * d1
+    try:  # ** and / by an underflowed 0 raise; * and / overflow to inf
+        d0 = (M / 12.0) * 2.0 ** (-s / 2.0)
+        r2 = min(
+            r1 / math.sqrt(2.0),
+            (math.sqrt(3.0) / 2.0) * d_minus,
+            (d_minus / d0) ** (1.0 / p),
+            d0 ** (1.0 / (s - 1.0 - xi)),
+        )
+        alpha0 = 60.0 * d_plus / d_minus
+        alpha1 = ((alpha0 + 1.0) / d0) ** (1.0 / p)
+        d1 = min((r2 / alpha1) ** p, d_minus / alpha0)
+        c1 = 2.0 ** (5.0 + s / 2.0) * alpha1 ** (s - 1.0) * (d_plus / d_minus)
+        d2 = (5.0 / (2.0 ** 1.5 * alpha0)) * d1
+        c2 = (25.0 * c1 * d_plus * (4.0 * math.sqrt(2.0) / 5.0) ** ((1.0 + xi) / p)
+              * alpha0 ** ((s - 1.0) / p))
+        if not all(0.0 < v < math.inf for v in (d0, alpha0, alpha1, c1, c2)):
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("constants chain leaves the double range; bring M, "
+                         "d_minus and d_plus nearer 1, or take s further "
+                         "below 2 + xi") from None
     if min(r2, d1, d2) < sys.float_info.min:
         raise ValueError(
             "thresholds r2, d1, d2 underflow double precision; "
             "take xi further from s - 1"
         )
-    c2 = (
-        25.0
-        * c1
-        * d_plus
-        * (4.0 * math.sqrt(2.0) / 5.0) ** ((1.0 + xi) / p)
-        * alpha0 ** ((s - 1.0) / p)
-    )
     return MassBoundConstants(
         s=s, xi=xi, M=M, d_minus=d_minus, d_plus=d_plus, r1=r1,
         d0=d0, r2=r2, alpha0=alpha0, alpha1=alpha1, d1=d1, c1=c1, d2=d2, c2=c2,

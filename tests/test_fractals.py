@@ -274,29 +274,38 @@ def test_generate_reproduces_each_builders_curve_from_its_spec(make):
 
 
 @pytest.mark.parametrize(
-    "spec, key",
+    "args, key",
     [
-        (CurveSpec("quasicircle", None, 5, 1, {"roughnes": 0.1}), "roughnes"),
-        (CurveSpec("circle", params={"n": 100.7}), "n must be int"),
-        (CurveSpec("circle", params={"n": 2.5}), "n must be int"),
-        (CurveSpec("circle", params={"radius": "1"}), "radius must be float"),
-        (CurveSpec("koch", 1.5, 4, 7), "seed"),
-        (CurveSpec("koch", 1.5, 4, 0, {"foo": 1}), "foo"),
-        (CurveSpec("koch", None, 4), "target_dim"),
-        (CurveSpec("quasicircle", 1.9, 5, 1), "target_dim"),
-        (CurveSpec("circle", None, 3), "level"),
-        (CurveSpec("polyline"), "points"),
-        (CurveSpec("polyline", params={"points": [[0, 0], [1, 1]]}), "points must be"),
-        (CurveSpec("polyline", params={"points": [0, 0, 1]}), "points must be two or more"),
-        (CurveSpec("spiral"), "spiral"),
+        (("quasicircle", None, 5, 1, {"roughnes": 0.1}), "roughnes"),
+        (("circle", None, 0, 0, {"n": 100.7}), "n must be int"),
+        (("circle", None, 0, 0, {"n": 2.5}), "n must be int"),
+        (("circle", None, 0, 0, {"radius": "1"}), "radius must be float"),
+        (("koch", 1.5, 4, 7), "seed"),
+        (("koch", 1.5, 4, 0, {"foo": 1}), "foo"),
+        (("koch", None, 4), "target_dim"),
+        (("quasicircle", 1.9, 5, 1), "target_dim"),
+        (("circle", None, 3), "level"),
+        (("polyline",), "points"),
+        (("polyline", None, 0, 0, {"points": [[0, 0], [1, 1]]}), "points must be"),
+        (("polyline", None, 0, 0, {"points": [0, 0, 1]}), "points must be two or more"),
+        (("circle", None, 0, 0, {"cx": 1.0, "cy": 2.0}), "unknown param 'cx'"),
+        (("spiral",), "spiral"),
     ],
     ids=["misspelt-param", "fractional-n", "fractional-n-below-3", "string-radius",
          "koch-seed", "koch-unknown-param", "koch-without-target_dim",
          "quasicircle-target_dim", "circle-level", "polyline-without-points",
-         "nested-points", "odd-points", "unknown-kind"],
+         "nested-points", "odd-points", "circle-cx", "unknown-kind"],
 )
-def test_generate_refuses_what_its_family_does_not_read(spec, key):
+def test_generate_refuses_what_its_family_does_not_read(args, key):
+    # A spec checks itself, so most cases are refused when it is built.
     with pytest.raises(ValueError, match=key):
+        generate(CurveSpec(*args))
+
+
+def test_a_kind_families_does_not_list_is_kept_as_given_and_refused_by_generate():
+    spec = CurveSpec("spiral", 1.5, 3, 4, {"turns": 2})
+    assert spec.params == {"turns": 2}
+    with pytest.raises(ValueError, match="unknown curve kind 'spiral'"):
         generate(spec)
 
 
@@ -342,6 +351,13 @@ def test_curve_file_of_the_unsorted_layout_still_reads():
     assert back.spec == curve.spec
     assert back.theoretical_dim == curve.theoretical_dim
     assert back.min_seg_len == curve.min_seg_len
+
+
+def test_circle_file_of_the_cx_cy_layout_is_refused_naming_cx():
+    doc = json.loads(curve_to_json(circle((1.0, 2.0), 1.0, 8)))
+    doc["spec"]["params"] = {"cx": 1.0, "cy": 2.0, "radius": 1.0, "n": 8}
+    with pytest.raises(ValueError, match="unknown param 'cx'"):
+        curve_from_json(json_text(doc))
 
 
 def test_curve_json_round_trip(tmp_path, koch5):
@@ -660,5 +676,27 @@ def test_vertices_are_the_curve_file_vertex_table(curve):
 
 
 def test_curve_spec_round_trip():
-    spec = CurveSpec("koch", 1.5, 7, 42, {"extra": 1.0})
+    spec = CurveSpec("quasicircle", None, 7, 42, {"roughness": 0.25})
     assert CurveSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_curve_spec_stores_each_param_as_its_kind_with_defaults_filled_in():
+    spec = CurveSpec("circle", params={"n": 16.0, "center": [1, -0.0]})
+    assert spec.params == {"center": (1.0, -0.0), "radius": 1.0, "n": 16}
+    assert [type(v) for v in spec.params["center"]] == [float, float]
+    assert type(spec.params["n"]) is int
+    assert math.copysign(1.0, spec.params["center"][1]) == -1.0
+    assert CurveSpec("quasicircle", None, 5, 7) == CurveSpec(
+        "quasicircle", None, 5, 7, {"roughness": fractals.QUASI_ROUGHNESS})
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda spec: spec.kind)
+def test_generate_keeps_the_spec_it_was_given(spec):
+    assert generate(spec).spec == spec
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda spec: spec.kind)
+def test_curve_spec_survives_json_text(spec):
+    back = CurveSpec.from_dict(json.loads(json_text(spec.to_dict())))
+    assert back == spec
+    assert json_text(back.to_dict()) == json_text(spec.to_dict())

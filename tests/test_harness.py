@@ -1,8 +1,10 @@
 """Bound formulas, experiment configs, the sweep runner, and the CLI."""
 
+import argparse
 import dataclasses
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from fracvis import cli, harness, svg
 from fracvis.fractals import (
+    FAMILIES,
     CurveSpec,
     curve_to_json,
     from_segments,
@@ -236,7 +239,7 @@ def test_configs_coerce_their_own_fields():
         ExperimentConfig(curve=CurveSpec("koch", 1.5, 6, 0), bound_tol=0),
         ExperimentConfig(curve=CurveSpec("koch", 1.5, 6, 0),
                          viewpoints=ViewpointPlan(radii=(1, 3))),
-        ExperimentConfig(curve=CurveSpec("circle", 1, 0, 0, {"n": 512})),
+        ExperimentConfig(curve=CurveSpec("koch", 1, 6, 0)),
     ],
     ids=["bound_tol", "radii", "target_dim"],
 )
@@ -244,6 +247,22 @@ def test_experiment_id_depends_only_on_the_config_value(cfg):
     back = ExperimentConfig.from_json(cfg.to_json())
     assert back == cfg
     assert back.experiment_id() == cfg.experiment_id()
+
+
+@pytest.mark.parametrize(
+    "short, full",
+    [
+        ({"n": 16}, {"n": 16.0}),
+        ({}, {"center": [0, 0], "radius": 1, "n": 4096}),
+    ],
+    ids=["int-or-float", "defaults-omitted"],
+)
+def test_one_circle_has_one_experiment_id(short, full):
+    a = ExperimentConfig(curve=CurveSpec("circle", params=short))
+    b = ExperimentConfig(curve=CurveSpec("circle", params=full))
+    assert generate(a.curve).segments.tobytes() == generate(b.curve).segments.tobytes()
+    assert a == b
+    assert a.experiment_id() == b.experiment_id()
 
 
 def test_experiment_id_of_the_criterion_7_config_is_pinned():
@@ -482,6 +501,12 @@ def test_cli_validation_error_exits_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_constants_refuses_an_overflowing_chain(capsys):
+    rc = cli.main(["constants", "--s", "1.9", "--xi", "0.05", "--m", "1e-300"])
+    assert rc == 1
+    assert "bring M, d_minus and d_plus nearer 1" in capsys.readouterr().err
+
+
 def test_cli_runtime_error_exits_2(tmp_path, capsys):
     rc = cli.main(
         ["verify-bound", "--results", str(tmp_path / "nope.csv"), "--d-hat", "1.5"]
@@ -544,7 +569,7 @@ def test_cli_dim_refuses_cells_that_cannot_be_exact(tmp_path, capsys):
         (["--kind", "circle", "--center", "1", "2", "--radius", "2.5",
           "--n", "100"],
          CurveSpec("circle", None, 0, 0,
-                   {"cx": 1.0, "cy": 2.0, "radius": 2.5, "n": 100})),
+                   {"center": (1.0, 2.0), "radius": 2.5, "n": 100})),
         (["--kind", "polyline", "--points", "0", "0", "1", "0", "1", "1"],
          CurveSpec("polyline", None, 0, 0, {"points": [0, 0, 1, 0, 1, 1]})),
         (["--kind", "cantor_cross", "--ratio", "0.25", "--level", "3"],
@@ -637,8 +662,28 @@ def test_cli_generate_rejects_odd_polyline_points(tmp_path, capsys):
     rc = cli.main(["--out", str(path), "generate", "--kind", "polyline",
                    "--points", "0", "0", "1"])
     assert rc == 1
-    assert "--points" in capsys.readouterr().err
+    assert "points must be two or more" in capsys.readouterr().err
     assert not path.exists()
+
+
+def test_cli_generate_flags_are_the_family_params():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for a in sub.choices["generate"]._actions
+             for opt in a.option_strings}
+    params = {name for _, _, table in FAMILIES.values() for name in table}
+    assert flags - {"-h", "--help", "--kind", "--target-dim", "--level"} == {
+        f"--{name}" for name in params}
+
+
+def test_readme_family_table_names_every_kind_and_param():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {line.split("|")[1].strip(): line for line in readme.splitlines()
+            if line.startswith("| `")}
+    for kind, (_, reads, table) in FAMILIES.items():
+        row = rows[f"`{kind}`"]
+        for name in (*reads, *table):
+            assert f"`{name}`" in row, (kind, name)
 
 
 def _without(doc: dict, key: str) -> dict:

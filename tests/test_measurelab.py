@@ -467,7 +467,7 @@ def test_pinned_far_point_counts_both_with_and_without_keys():
 _FAMILY_SPECS = [
     CurveSpec("koch", 1.5, 4),
     CurveSpec("quasicircle", None, 6, 2),
-    CurveSpec("circle", params={"cx": -3.0, "cy": -2.0, "n": 200}),
+    CurveSpec("circle", params={"center": (-3.0, -2.0), "n": 200}),
     CurveSpec("polyline", params={"points": [-1, -1, 1, 0, 1, 1, 0, -2]}),
     CurveSpec("cantor_cross", None, 3),
 ]
@@ -683,6 +683,22 @@ def test_mass_bound_constants_rejects_bad_inputs():
         mass_bound_constants(2.0, 0.5, 12.0, 1.0, 1.0, 2.0)
     with pytest.raises(ValueError):
         mass_bound_constants(2.0, 0.5, -1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1.9, 0.05, 1e-300, 1.0, 1.0, 1.0),
+        (1.5, 0.25, 1e300, 1.0, 1.0, 1.0),
+        (1.5, 0.25, math.inf, 1.0, 1.0, 1.0),
+        (1.5, 0.25, 12.0, 1.0, 1e308, 1.0),
+        (1.5, 0.25, 12.0, math.inf, math.inf, 1.0),
+    ],
+    ids=["tiny-M", "huge-M", "infinite-M", "huge-d_plus", "infinite-d"],
+)
+def test_mass_bound_constants_refuses_a_chain_beyond_double_precision(args):
+    with pytest.raises(ValueError, match="bring M, d_minus and d_plus nearer 1"):
+        mass_bound_constants(*args)
 
 
 def _smallest_threshold_exact(s, xi, M, d_minus, d_plus, r1):
