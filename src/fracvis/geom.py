@@ -331,6 +331,7 @@ def point_segments_dist(p, segs: np.ndarray) -> np.ndarray:
 # visibility block pass kept a median 19, 23, 30 and 37% of the segments of
 # Koch d=1.5 L7 from 100 ring viewpoints, and visible_set took 3.7, 3.5, 3.7
 # and 4.0 ms each; from the 2x2 grid on L8, 12.4, 10.1, 10.0 and 10.9 ms.
+# The crossing search cuts its runs of segments to the same size.
 _BLOCK = 16
 
 
@@ -415,7 +416,9 @@ def _ragged_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Concatenate arange(starts[i], ends[i]) for every i, vectorised.
 
     The one expansion behind the visibility sweep's candidates, the pairs
-    of ``_window_pairs`` and box counting's grid-line crossings.
+    of ``_window_pairs``, the segment pairs of the crossing search's
+    overlapping runs (each surviving segment of one run against the
+    survivors of the other) and box counting's grid-line crossings.
     """
     counts = ends - starts
     nonempty = counts > 0
@@ -434,10 +437,12 @@ def _ragged_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 def _window_pairs(keys: np.ndarray, reach: np.ndarray):
     """Every pair (a, b) with b after a in stable key order, keys[b] <= reach[a].
 
-    The one pair search behind segment crossings, energy bands, the Riesz
-    energy and the Frostman profile.  Yields (a, b) index arrays in blocks
-    of at most ``_CHUNK`` pairs (or one item's pairs, if more), ordered by
-    a's position in key order, then by b's.
+    The one pair search behind energy bands, the Riesz energy, the
+    Frostman profile and segment crossings, where it pairs the runs of
+    ``_BLOCK`` segments by their boxes' x-intervals (the crossing search
+    then tests y and pairs the runs' segments).  Yields (a, b) index arrays
+    in blocks of at most ``_CHUNK`` pairs (or one item's pairs, if more),
+    ordered by a's position in key order, then by b's.
     """
     order = np.argsort(keys, kind="stable")
     starts = np.arange(1, keys.size + 1)

@@ -682,10 +682,14 @@ def mass_bound_constants(s: float, xi: float, M: float, d_minus: float,
     p = 2.0 + xi - s
     try:  # ** and / by an underflowed 0 raise; * and / overflow to inf
         d0 = (M / 12.0) * 2.0 ** (-s / 2.0)
+        try:  # a root too large for a double cannot be r2's min: inf stands in
+            root = (d_minus / d0) ** (1.0 / p)
+        except OverflowError:
+            root = math.inf
         r2 = min(
             r1 / math.sqrt(2.0),
             (math.sqrt(3.0) / 2.0) * d_minus,
-            (d_minus / d0) ** (1.0 / p),
+            root,
             d0 ** (1.0 / (s - 1.0 - xi)),
         )
         alpha0 = 60.0 * d_plus / d_minus

@@ -37,8 +37,13 @@ expanded.  On Koch d=1.5 curves 12-23% of the segments survive the block
 pass at 16k-65k segments and 6% at 1M; about 1 in 80 of the candidates the
 unculled sweep would take get expanded at 65k.  Candidates are expanded (by
 ``geom._ragged_ranges``) in blocks of at most ``geom._CHUNK`` pairs or one
-span's, and crossing search takes its pairs from ``geom._window_pairs`` in
-blocks of ``geom._CHUNK``, so memory stays bounded as curves get finer.
+span's, so memory stays bounded as curves get finer.  The crossing search
+works in two levels as well: ``geom._window_pairs`` pairs runs of
+``geom._BLOCK`` segments whose boxes meet, a dense box test pairs the
+segments inside a run, and only the segments of a run pair that meet the
+other run's box have their pairs expanded, at most ``geom._CHUNK`` at a
+time; so on Koch curves about 1.1 run pairs per run meet, and the segment
+pairs expanded grow linearly with the segments.
 
 ``visible_oracle`` is the independent brute-force check: it casts the
 chord to a curve point against every segment in one
@@ -61,7 +66,6 @@ from .geom import (
     EPS_GEOM,
     TWO_PI,
     _ragged_ranges,
-    _window_pairs,
     _xy,
     hit_t_elementwise,
     point_segments_dist,
@@ -131,42 +135,161 @@ def find_segment_crossings(curve: CurveApprox) -> np.ndarray:
 
     Pairs sharing an endpoint (chain neighbours) are skipped; collinear
     overlaps contribute nothing because their switch angles are already
-    endpoint events.  Candidate pairs are the x-interval overlaps listed by
-    ``geom._window_pairs`` (keys xmin, reach xmax) whose y-intervals also
-    overlap, so the cost is near-linear for curves without heavy box
-    overlap.  The points come out in the window's pair order, the same for
-    any block size.
+    endpoint events.  The candidates are every unordered pair whose closed
+    bounding boxes meet, found in two levels by ``_crossings``: runs of
+    ``geom._BLOCK`` segments whose boxes meet, then the segments of each
+    run and of each such run pair.  The runs are cut in array order when
+    they are tight there, their boxes' half-perimeters summing to at most
+    twice the segments' boxes', as on every chain (a run that is a
+    connected path is at most 1x, by the triangle inequality); else in the
+    Morton order of the segments' midpoints (``_morton_order``).  The order
+    changes the work, never the candidates.  A pair's point is a + t e on
+    the segment that comes first by (xmin, index).  The rows are ordered by
+    the pair's lower segment index, then its higher, the same for any block
+    size or run order.
     """
-    segs = curve.segments
-    if segs.shape[0] < 2:
+    return _crossings(curve.segments, loose_segments(curve.segments))
+
+
+def _overlap(a, b) -> np.ndarray:
+    """Whether closed boxes a and b, each (xmin, ymin, xmax, ymax) along axis 0, meet."""
+    return (a[0] <= b[2]) & (b[0] <= a[2]) & (a[1] <= b[3]) & (b[1] <= a[3])
+
+
+def _runs(box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (4, nb, _BLOCK) grid of runs of the segment boxes (4, n), and the runs' boxes.
+
+    The last run is padded with empty boxes (+inf mins, -inf maxes), which
+    meet no box.
+    """
+    b = geom._BLOCK
+    n = box.shape[1]
+    grid = np.empty((4, -(-n // b) * b))
+    grid[:2] = np.inf
+    grid[2:] = -np.inf
+    grid[:, :n] = box
+    grid = grid.reshape(4, -1, b)
+    return grid, np.concatenate([grid[:2].min(axis=2), grid[2:].max(axis=2)])
+
+
+def _morton_order(box: np.ndarray) -> np.ndarray:
+    """The segments sorted by the Morton code of their midpoints on a 2^16 grid."""
+    # Halved midpoints, so that no difference overflows.
+    c = 0.25 * box[:2] + 0.25 * box[2:]
+    c -= c.min(axis=1, keepdims=True)
+    span = c.max(axis=1, keepdims=True)
+    q = (c / np.where(span > 0.0, span, 1.0) * 65535.0).astype(np.uint64)
+    for shift, mask in ((8, 0x00FF00FF), (4, 0x0F0F0F0F), (2, 0x33333333),
+                        (1, 0x55555555)):
+        q = (q | (q << np.uint64(shift))) & np.uint64(mask)
+    return np.argsort(q[0] | (q[1] << np.uint64(1)), kind="stable")
+
+
+def _crossings(segs: np.ndarray, loose: np.ndarray) -> np.ndarray:
+    """find_segment_crossings on a segment array and its ``loose_segments``.
+
+    Pairs inside a run take a dense closed-box test on their (_BLOCK,
+    _BLOCK) upper triangle, ``max(1, geom._CHUNK // 256)`` runs at a time.
+    Pairs across runs start from the run pairs ``geom._window_pairs`` lists
+    (keys xmin, reach xmax) whose boxes meet, ``max(1, geom._CHUNK //
+    _BLOCK)`` at a time: the segments of each run whose boxes meet the
+    other run's box survive, and only the survivors' pairs are expanded
+    (``geom._ragged_ranges``, in ``geom._blocks`` of their counts) for the
+    segment box test.  Chain neighbours (i and i + 1, i not loose) share a
+    vertex bitwise and are dropped by index; ``_pair_crossings`` tests the
+    rest, once per block.
+    """
+    n = segs.shape[0]
+    if n < 2:
         return np.empty((0, 2))
-    xmin = np.minimum(segs[:, 0], segs[:, 2])
-    xmax = np.maximum(segs[:, 0], segs[:, 2])
-    ymin = np.minimum(segs[:, 1], segs[:, 3])
-    ymax = np.maximum(segs[:, 1], segs[:, 3])
-    parts = []
-    for i, j in _window_pairs(xmin, xmax):
-        keep = ~((ymin[i] > ymax[j]) | (ymin[j] > ymax[i]))
-        parts.append(_pair_crossings(segs, i[keep], j[keep]))
-    return np.concatenate(parts)
+    b = geom._BLOCK
+    grid, runs = _runs(np.stack([
+        np.minimum(segs[:, 0], segs[:, 2]), np.minimum(segs[:, 1], segs[:, 3]),
+        np.maximum(segs[:, 0], segs[:, 2]), np.maximum(segs[:, 1], segs[:, 3])]))
+    # The segments' boxes in array order, as a view of the first grid.
+    box = grid.reshape(4, -1)[:, :n]
+    ids = np.arange(grid.shape[1] * b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tight = np.sum(runs[2:] - runs[:2]) <= 2.0 * np.sum(box[2:] - box[:2])
+    if not tight:
+        ids[:n] = _morton_order(box)
+        grid, runs = _runs(np.take(box, ids[:n], axis=1))
+    linked = np.ones(n, dtype=bool)
+    linked[loose] = False
+    xmin = box[0]
+    found = []
+
+    def collect(u, v):
+        # Candidate pairs, as grid positions, to their keys and crossings.
+        s, t = ids[u], ids[v]
+        first = np.minimum(s, t)
+        keep = (np.abs(s - t) != 1) | ~linked[first]
+        if np.any(keep):
+            s, t, first = s[keep], t[keep], first[keep]
+            swap = (xmin[t] < xmin[s]) | ((xmin[t] == xmin[s]) & (t < s))
+            good, pts = _pair_crossings(segs, np.where(swap, t, s), np.where(swap, s, t))
+            found.append((first[good] * n + np.maximum(s, t)[good], pts))
+
+    step = max(1, geom._CHUNK // (b * b))
+    upper = np.triu(np.ones((b, b), dtype=bool), 1)
+    for r0 in range(0, grid.shape[1], step):
+        g = grid[:, r0:r0 + step]
+        r, p, q = np.nonzero(_overlap(g[:, :, :, None], g[:, :, None, :]) & upper)
+        collect((r0 + r) * b + p, (r0 + r) * b + q)
+    grid = grid.reshape(4, -1)
+    cols = np.arange(b)
+    step = max(1, geom._CHUNK // b)
+    for ra, rc in geom._window_pairs(runs[0], runs[2]):
+        meet = _overlap(np.take(runs, ra, axis=1), np.take(runs, rc, axis=1))
+        ra, rc = ra[meet], rc[meet]
+        for k0 in range(0, ra.size, step):
+            a, c = ra[k0:k0 + step, None], rc[k0:k0 + step, None]
+            pos_a, pos_c = a * b + cols, c * b + cols
+            in_a = _overlap(np.take(grid, pos_a, axis=1), np.take(runs, c, axis=1))
+            in_c = _overlap(np.take(grid, pos_c, axis=1), np.take(runs, a, axis=1))
+            # Each survivor in a meets the survivors in c, a range of pos_c.
+            rows = np.nonzero(in_a)[0]
+            nc = in_c.sum(axis=1)
+            stop = np.cumsum(nc)[rows]
+            nc = nc[rows]
+            pos_a, pos_c = pos_a[in_a], pos_c[in_c]
+            for i0, i1 in geom._blocks(nc):
+                u = np.repeat(pos_a[i0:i1], nc[i0:i1])
+                v = pos_c[_ragged_ranges(stop[i0:i1] - nc[i0:i1], stop[i0:i1])]
+                meet = _overlap(np.take(grid, u, axis=1), np.take(grid, v, axis=1))
+                collect(u[meet], v[meet])
+    if not found:
+        return np.empty((0, 2))
+    keys, pts = (np.concatenate(part) for part in zip(*found))
+    return pts[np.argsort(keys)]
 
 
-def _pair_crossings(segs: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Crossing points of segment pairs (i, j) that share no endpoint."""
-    ai = segs[i, 0:2]
-    bi = segs[i, 2:4]
-    aj = segs[j, 0:2]
-    bj = segs[j, 2:4]
-    shared = np.zeros(i.size, dtype=bool)
+def _pair_crossings(segs: np.ndarray, i: np.ndarray,
+                    j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which segment pairs (i, j) cross without sharing an endpoint, and their points.
+
+    Returns the mask over the pairs and, for the pairs it keeps, the points
+    a_i + t e_i.
+    """
+    # np.take gathers rows several times faster than fancy indexing.
+    si = np.take(segs, i, axis=0)
+    sj = np.take(segs, j, axis=0)
+    ai = si[:, 0:2]
+    bi = si[:, 2:4]
+    aj = sj[:, 0:2]
+    bj = sj[:, 2:4]
+    mask = np.ones(i.size, dtype=bool)
     for p, q in ((ai, aj), (ai, bj), (bi, aj), (bi, bj)):
-        shared |= np.hypot(p[:, 0] - q[:, 0], p[:, 1] - q[:, 1]) <= EPS_GEOM
-    i = i[~shared]
-    j = j[~shared]
-
-    ai = segs[i, 0:2]
-    ei = segs[i, 2:4] - ai
-    aj = segs[j, 0:2]
-    ej = segs[j, 2:4] - aj
+        dx = p[:, 0] - q[:, 0]
+        dy = p[:, 1] - q[:, 1]
+        # hypot is at least the larger of |dx| and |dy|, so only ends that
+        # close on both axes can be shared.
+        near = np.flatnonzero((np.abs(dx) <= EPS_GEOM) & (np.abs(dy) <= EPS_GEOM))
+        mask[near[np.hypot(dx[near], dy[near]) <= EPS_GEOM]] = False
+    ai = ai[mask]
+    ei = bi[mask] - ai
+    aj = aj[mask]
+    ej = bj[mask] - aj
     w = aj - ai
     denom = ei[:, 0] * ej[:, 1] - ei[:, 1] * ej[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -181,20 +304,23 @@ def _pair_crossings(segs: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarra
         & (t >= -slack_i) & (t <= 1.0 + slack_i)
         & (u >= -slack_j) & (u <= 1.0 + slack_j)
     )
-    return ai[good] + t[good, None] * ei[good]
+    mask[mask] = good
+    return mask, ai[good] + t[good, None] * ei[good]
 
 
 class SegmentIndex:
     """A curve's sweep tables, computed once for many viewpoints.
 
-    The tables are the curve's segment crossings, which are event angles
-    for every ``visible_set`` call on it, and its vertex table, built in
-    O(n) with no sort by :func:`fractals.loose_segments`, the rule curve
-    files use too: segment i starts at vertex i and ends at vertex i + 1
-    unless it is in ``loose``, whose segments end at vertices n, n + 1, ...
-    in order (:func:`fractals.vertex_ends` reads a per-vertex array at
-    each segment's end).  So a chain of n segments has n + 1 vertices, and
-    a sweep takes one angle per vertex.  ``segments`` is the curve's array, so
+    The tables are the curve's vertex table, built in O(n) with no sort by
+    :func:`fractals.loose_segments`, the rule curve files use too: segment
+    i starts at vertex i and ends at vertex i + 1 unless it is in
+    ``loose``, whose segments end at vertices n, n + 1, ... in order
+    (:func:`fractals.vertex_ends` reads a per-vertex array at each
+    segment's end); and its segment crossings, which are event angles for
+    every ``visible_set`` call on it, found by
+    :func:`find_segment_crossings`'s search with ``loose`` computed once
+    for both.  So a chain of n segments has n + 1 vertices, and a sweep
+    takes one angle per vertex.  ``segments`` is the curve's array, so
     ``visible_set`` can refuse an index built from another curve.
 
     Per segment it keeps e = b - a as ``ex``, ``ey``, its ``lengths`` and
@@ -205,7 +331,9 @@ class SegmentIndex:
     ``boxes`` their bounding boxes, and ``block_ends`` and ``block_loose``
     the vertex table of the path of block ends, each block one segment
     from its first vertex to its last.  A curve whose chains average two
-    segments or fewer has no blocks (``blocks`` is None).
+    segments or fewer has no blocks (``blocks`` is None).  The crossing
+    search cuts its own runs of ``geom._BLOCK``, which ignore loose ends,
+    since it needs boxes, not paths.
     """
 
     def __init__(self, curve: CurveApprox):
@@ -214,8 +342,8 @@ class SegmentIndex:
         segs = curve.segments
         self.segments = segs
         n = self.n_segments = int(segs.shape[0])
-        self._crossings = find_segment_crossings(curve)
         self.loose = loose_segments(segs)
+        self._crossings = _crossings(segs, self.loose)
         self.ex = segs[:, 2] - segs[:, 0]
         self.ey = segs[:, 3] - segs[:, 1]
         self.lengths = np.hypot(self.ex, self.ey)

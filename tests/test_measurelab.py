@@ -701,6 +701,18 @@ def test_mass_bound_constants_refuses_a_chain_beyond_double_precision(args):
         mass_bound_constants(*args)
 
 
+def test_mass_bound_constants_lets_an_unused_root_overflow():
+    # (d_minus / d0) ** (1 / p) is about 1e539 here, far past the double
+    # range, but r2 takes the min and never uses it.
+    c = mass_bound_constants(1.9, 0.0009, 1e-3, 1e50, 1e50, 1.0)
+    assert c.d0 == pytest.approx(4.3e-05, rel=0.01)
+    assert c.r2 == pytest.approx(1.4e-05, rel=0.01)
+    assert c.alpha1 == pytest.approx(9.0e60, rel=0.01)
+    assert c.c2 == pytest.approx(2.8e124, rel=0.02)
+    vals = [c.d0, c.r2, c.alpha0, c.alpha1, c.d1, c.c1, c.d2, c.c2]
+    assert all(math.isfinite(v) and v > 0.0 for v in vals)
+
+
 def _smallest_threshold_exact(s, xi, M, d_minus, d_plus, r1):
     """min(r2, d1, d2) of the constants chain in Decimal, which has no
     double-precision underflow."""

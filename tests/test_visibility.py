@@ -499,6 +499,187 @@ def test_chunked_expansion_matches_unchunked(koch5, chunk):
             assert got.angular_coverage == want.angular_coverage
 
 
+def _x_window_crossings(segs):
+    """The reference: pairs whose x-intervals overlap, by geom._window_pairs,
+    kept where their y-intervals overlap too, each oriented by (xmin, index),
+    less those with ends within EPS_GEOM, then the crossing test."""
+    lo = np.minimum(segs[:, 0:2], segs[:, 2:4])
+    hi = np.maximum(segs[:, 0:2], segs[:, 2:4])
+    parts = [np.empty((0, 2))]
+    for i, j in geom._window_pairs(lo[:, 0], hi[:, 0]):
+        keep = ~((lo[i, 1] > hi[j, 1]) | (lo[j, 1] > hi[i, 1]))
+        a, b, c, d = segs[i[keep], 0:2], segs[i[keep], 2:4], segs[j[keep], 0:2], segs[j[keep], 2:4]
+        shared = np.zeros(len(a), dtype=bool)
+        for p, q in ((a, c), (a, d), (b, c), (b, d)):
+            shared |= np.hypot(p[:, 0] - q[:, 0], p[:, 1] - q[:, 1]) <= EPS_GEOM
+        a, e, c, f = a[~shared], b[~shared] - a[~shared], c[~shared], d[~shared] - c[~shared]
+        w = c - a
+        denom = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (w[:, 0] * f[:, 1] - w[:, 1] * f[:, 0]) / denom
+            u = (w[:, 0] * e[:, 1] - w[:, 1] * e[:, 0]) / denom
+        slack_i = EPS_GEOM / np.hypot(e[:, 0], e[:, 1])
+        slack_j = EPS_GEOM / np.hypot(f[:, 0], f[:, 1])
+        good = ((np.abs(denom) > 0.0) & (t >= -slack_i) & (t <= 1.0 + slack_i)
+                & (u >= -slack_j) & (u <= 1.0 + slack_j))
+        parts.append(a[good] + t[good, None] * e[good])
+    return np.concatenate(parts)
+
+
+def _row_multiset(points):
+    return sorted(row.tobytes() for row in points)
+
+
+def _koch_pair(level):
+    # Koch d=1.5 with a copy turned 7 degrees about the mean of its segments'
+    # start points: connected, with thousands of crossings.
+    segs = koch_generalized(1.5, level).segments
+    cx, cy = segs[:, 0:2].mean(axis=0)
+    cos, sin = math.cos(math.radians(7.0)), math.sin(math.radians(7.0))
+    dx, dy = segs[:, 0::2] - cx, segs[:, 1::2] - cy
+    turned = np.column_stack([cx + cos * dx - sin * dy, cy + sin * dx + cos * dy])
+    return from_segments(np.vstack([segs, turned[:, [0, 2, 1, 3]]]))
+
+
+def _shuffled(curve, seed=0):
+    segs = curve.segments
+    return from_segments(segs[np.random.default_rng(seed).permutation(len(segs))])
+
+
+def _squares_soup(k=6):
+    # Every unit square of a k x k grid as its own 4 edges, so each inner
+    # edge appears twice, once each way.
+    rows = [[x + a, y + b, x + c, y + d] for x in range(k) for y in range(k)
+            for a, b, c, d in ((0, 0, 1, 0), (1, 0, 1, 1), (1, 1, 0, 1), (0, 1, 0, 0))]
+    return from_segments(np.array(rows, dtype=float) / 3.0)
+
+
+def _tied_xmin_soup(n=400):
+    # Short segments whose left ends take ten x values, so many crossing
+    # pairs tie on xmin and only the index orients them.
+    rng = np.random.default_rng(5)
+    x0 = rng.integers(0, 10, n) / 10.0
+    y0 = rng.uniform(0.0, 1.0, n)
+    segs = np.column_stack([x0, y0, x0 + rng.uniform(0.02, 0.1, n),
+                            y0 + rng.normal(0.0, 0.05, n)])
+    flip = rng.random(n) < 0.5
+    segs[flip] = segs[flip][:, [2, 3, 0, 1]]
+    return from_segments(segs)
+
+
+def _walk(n, seed=3):
+    # A random walk of n steps: a chain that crosses itself.
+    steps = np.random.default_rng(seed).normal(size=(n, 2))
+    return polyline(np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)]))
+
+
+_EQUIVALENCE_CURVES = {
+    "koch-L6": lambda: koch_generalized(1.5, 6),
+    "koch-pair-L6": lambda: _koch_pair(6),
+    "koch-pair-L7": lambda: _koch_pair(7),
+    "quasicircle-L10": lambda: quasicircle(3, level=10),
+    "circle-4096": lambda: circle((0.0, 0.0), 1.0, 4096),
+    "crossing-soup": _crossing_soup,
+    "shuffled-koch-L6": lambda: _shuffled(koch_generalized(1.5, 6)),
+    "squares-soup": _squares_soup,
+    "tied-xmin-soup": _tied_xmin_soup,
+    **{f"soup-{n}": (lambda n=n: from_segments(
+        np.random.default_rng(n).uniform(0.0, 1.0, size=(n, 4)))) for n in (2, 15, 16, 17, 33)},
+    **{f"walk-{n}": (lambda n=n: _walk(n)) for n in (2, 15, 16, 17, 33)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EQUIVALENCE_CURVES))
+def test_crossings_are_the_x_window_searchs_rows(name):
+    curve = _EQUIVALENCE_CURVES[name]()
+    got = find_segment_crossings(curve)
+    assert got.dtype == np.float64 and got.shape[1] == 2
+    assert _row_multiset(got) == _row_multiset(_x_window_crossings(curve.segments))
+
+
+def test_crossing_rows_are_ordered_by_pair_whatever_the_run_order():
+    # Shuffled, the Koch pair's runs are loose, so the search takes them in
+    # Morton order; the rows stay the same multiset, in the order of their
+    # pairs' segment indices, the same on every call.
+    curve = _koch_pair(5)
+    want = find_segment_crossings(curve)
+    assert want.shape[0] == 365
+    shuffled = _shuffled(curve)
+    with mock.patch.object(visibility, "_morton_order",
+                           side_effect=visibility._morton_order) as morton:
+        find_segment_crossings(curve)
+        assert morton.call_count == 0
+        got = find_segment_crossings(shuffled)
+        assert morton.call_count == 1
+    assert _row_multiset(got) == _row_multiset(want)
+    assert find_segment_crossings(shuffled).tobytes() == got.tobytes()
+
+
+@st.composite
+def _snapped_soups(draw):
+    # A coarse grid gives shared endpoints, collinear overlaps and duplicate
+    # segments; up to 60 of them span several runs of geom._BLOCK.
+    segs = draw(st.lists(st.tuples(_grid_point, _grid_point), min_size=2, max_size=60))
+    assume(all(a != b for a, b in segs))
+    return from_segments([[*a, *b] for a, b in segs])
+
+
+@given(curve=_snapped_soups(), chunk=st.sampled_from([1, 7, geom._CHUNK]))
+def test_crossings_match_the_x_window_search_on_snapped_soups(curve, chunk):
+    with mock.patch.object(geom, "_CHUNK", chunk):
+        got = find_segment_crossings(curve)
+    assert _row_multiset(got) == _row_multiset(_x_window_crossings(curve.segments))
+
+
+def _run_pairs_per_run(curve):
+    """(yielded, meeting): the run pairs geom._window_pairs yields to one
+    crossing search, and those whose run boxes meet, per run."""
+    made, pairs = [], []
+    runs, window_pairs = visibility._runs, geom._window_pairs
+
+    def recording_runs(box):
+        made.append(runs(box))
+        return made[-1]
+
+    def recording_pairs(keys, reach):
+        for a, b in window_pairs(keys, reach):
+            pairs.append((a, b))
+            yield a, b
+
+    with mock.patch.object(visibility, "_runs", recording_runs), \
+            mock.patch.object(geom, "_window_pairs", recording_pairs):
+        find_segment_crossings(curve)
+    boxes = made[-1][1]
+    meeting = sum(int(visibility._overlap(boxes[:, a], boxes[:, b]).sum()) for a, b in pairs)
+    return sum(a.size for a, _ in pairs) / boxes.shape[1], meeting / boxes.shape[1]
+
+
+@pytest.mark.parametrize("level", [6, 7, 8, 9])
+def test_crossing_search_pairs_each_koch_run_with_few_others(level):
+    # The run pairs whose boxes meet stay near 1.1 per run as the curve
+    # refines, so the segment pairs expanded grow linearly; and every
+    # candidate pair of a Koch curve is a pair of chain neighbours, dropped
+    # before any crossing test.  The x-window still yields 5.6, 9.3, 15.3
+    # and 24.7 run pairs per run at L6-L9, before its y test.
+    with mock.patch.object(visibility, "_pair_crossings") as pair_crossings:
+        yielded, meeting = _run_pairs_per_run(koch_generalized(1.5, level))
+    assert meeting <= 1.5
+    assert yielded <= 25.0
+    assert pair_crossings.call_count == 0
+
+
+def test_crossing_search_pairs_soup_runs_in_morton_order():
+    # Shuffled, Koch L7 has no chain neighbours left; in Morton order about
+    # 3.9 run pairs per run meet.
+    assert _run_pairs_per_run(_shuffled(koch_generalized(1.5, 7)))[1] <= 6.0
+
+
+def test_koch_pair_level7_has_2169_crossings():
+    curve = _koch_pair(7)
+    assert find_segment_crossings(curve).shape[0] == 2169
+    assert _x_window_crossings(curve.segments).shape[0] == 2169
+
+
 _CULL_VIEWS = [
     # (curve, viewpoints near, inside and far from it)
     (lambda: koch_generalized(math.log(4) / math.log(3), 5),
