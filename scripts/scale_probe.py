@@ -12,8 +12,9 @@ the sweep's d_hat), estimates its energy dimension (``energy_dimension(curve)``
 on the default grid), builds its ``SegmentIndex``, then computes one
 ``visible_set`` from the first ring viewpoint of ``plan_viewpoints``
 (seed 0), with the share of segments in the blocks that survive its block
-pass, and one from each of the four viewpoints of a 2x2 grid (the
-``koch-deep`` benchmark's), and prints the wall time of each step, the
+pass, renders that view's ``scene.svg`` (``render_scene``; the line gives
+the scene's bytes), computes one ``visible_set`` from each of the four
+viewpoints of a 2x2 grid (the ``koch-deep`` benchmark's), and prints the wall time of each step, the
 process's ``ru_maxrss`` after it and the minor page faults the step took
 (the ``ru_minflt`` delta of the probing process); the grid line gives the
 median and the max of its four calls, as a call's cost depends on the
@@ -51,6 +52,7 @@ def _probe(level: int) -> None:
     from fracvis.fractals import koch_generalized, read_curve, write_curve
     from fracvis.harness import ViewpointPlan, plan_viewpoints
     from fracvis.measurelab import box_dimension, energy_dimension
+    from fracvis.svg import render_scene
     from fracvis.visibility import SegmentIndex, _block_cull, visible_set
 
     faults = _minflt()
@@ -94,6 +96,9 @@ def _probe(level: int) -> None:
     report("visible_set", time.perf_counter() - elapsed,
            f"{len(vs.segments)} pieces from ({vp[0]:.4f}, {vp[1]:.4f}), "
            f"{100.0 * kept / index.n_segments:.1f}% of segments kept by the block pass")
+    t0 = time.perf_counter()
+    scene = render_scene(curve, vs)
+    report("render_scene", t0, f"{len(scene.encode())} bytes")
     times = []
     for vp in plan_viewpoints(curve, ViewpointPlan(mode="grid", count=4), SEED):
         t0 = time.perf_counter()

@@ -18,8 +18,19 @@ _SCENE_MARGIN = 40
 _PLOT_W = 800
 _PLOT_H = 560
 _MARGIN = 56
-# Path rows per %-format call; bounds the Python floats alive at once.
-_PATH_ROWS = 4096
+# Path rows per block of the number writer, set by koch-deep peak RSS (65k
+# segments, one worker.py run each): 512 or 1,024 rows 58.0-58.2 MB, 4,096
+# 59.3 MB, 16,384 61.2 MB, against 58.5 MB with the %-format writer.
+_PATH_ROWS = 1024
+# The writer refuses |v| at or beyond this, where whole parts pass 16 digits.
+_PATH_LIMIT = 1e16
+# Twice the largest rounding error of q = 1e4 * fraction (see _numbers).
+_TIE_MARGIN = 2.0 ** -39
+# Row k holds the ASCII digits of k, "0000" ... "9999"; _LEADING row k marks
+# those from its first nonzero digit on, the digits a leading group keeps.
+_DIGITS = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+           + ord("0")).astype(np.uint8)
+_LEADING = np.logical_or.accumulate(_DIGITS != ord("0"), axis=1)
 
 
 def _num(v: float) -> str:
@@ -61,17 +72,84 @@ class _Frame:
         )
 
 
+def _words(block: np.ndarray) -> np.ndarray:
+    """The rows of a 4-byte-wide column block, as one uint32 column."""
+    return block.view(np.uint32)[:, 0]
+
+
+def _numbers(values: np.ndarray, separators: bytes) -> str:
+    """The rows of a 2-d array as format(v, ".4f"), each after a separator.
+
+    Column j of each row follows ``separators[j]``.  Each number is one row
+    of a byte matrix (separator, sign, integer digits in groups of four,
+    ".", four decimals), whose groups are rows of _DIGITS gathered as
+    4-byte words.  One boolean mask keeps the bytes format() writes: "-"
+    wherever ``np.signbit`` is set, so -0.0 and negatives that round to
+    zero print "-0.0000" as format() prints them, the leading group from
+    _LEADING, and the units digit always.  The kept bytes are decoded once.
+
+    With a = |v| = i + r and i = floor(a), the fraction r = a - i is exact,
+    and the decimals are k = round(1e4 r), carried into i at 10,000.  As
+    1e4 r < 2**14, q = fl(1e4 r) lies within half an ulp, 2**-40, of it.
+    Where |q - rint(q)| < 1/2 - _TIE_MARGIN, no half-integer lies between
+    q and 1e4 r, and k = rint(q).  Within _TIE_MARGIN = 2**-39 of 1/2,
+    which holds every exact binary tie such as 41.40625 ("41.4062", half
+    to even), format() itself gives i and k.
+
+    ``_Frame`` maps every scene point into [40, 760], the canvas less its
+    margin.  Any |v| < _PATH_LIMIT is written exactly; nan, inf or a
+    larger |v| raises ValueError.
+    """
+    v = values.ravel()
+    a = np.abs(v)
+    if not a.max(initial=0.0) < _PATH_LIMIT:
+        raise ValueError(f"canvas coordinate {v[~(a < _PATH_LIMIT)][0]!r} is "
+                         f"beyond the path writer's range |v| < {_PATH_LIMIT:g}")
+    whole = np.floor(a)
+    q = (a - whole) * 1e4
+    k = np.rint(q)
+    for j in np.flatnonzero(np.abs(q - k) >= 0.5 - _TIE_MARGIN):
+        text = format(float(a[j]), ".4f")
+        whole[j], k[j] = float(text[:-5]), float(text[-4:])
+    carry = k == 1e4
+    whole += carry
+    k[carry] = 0.0
+    # The integer part in groups of four digits, the leading group first.
+    groups = [whole.astype(np.int64)]
+    while groups[0].max(initial=0) >= 10_000:
+        groups[:1] = np.divmod(groups[0], 10_000)
+    point = 2 + 4 * len(groups)
+    out = np.empty(values.shape + (point + 5,), dtype=np.uint8)
+    out[..., 0] = np.frombuffer(separators, dtype=np.uint8)
+    out = out.reshape(v.size, point + 5)
+    out[:, 1] = ord("-")
+    out[:, point] = ord(".")
+    digits, leading = _words(_DIGITS), _words(_LEADING)
+    _words(out[:, point + 1:])[:] = digits[k.astype(np.int64)]
+    keep = np.ones(out.shape, dtype=bool)
+    keep[:, 1] = np.signbit(v)
+    for g, part in enumerate(groups):
+        cols = slice(2 + 4 * g, 6 + 4 * g)
+        _words(out[:, cols])[:] = digits[part]
+        # A group after a nonzero one keeps all four digits.
+        above = whole >= 10_000.0 ** (len(groups) - g)
+        _words(keep[:, cols])[:] = np.where(above, _words(np.ones((1, 4), bool)),
+                                            leading[part])
+    keep[:, point - 1] = True
+    return out[keep].tobytes().decode("ascii")
+
+
 def _path_d(frame: _Frame, segs: np.ndarray) -> str:
-    """Path data "Mxa yaLxb yb..." for the rows (xa, ya, xb, yb) of segs."""
+    """Path data "Mxa yaLxb yb..." for the rows (xa, ya, xb, yb) of segs.
+
+    The numbers read as format(v, ".4f") writes them (see _numbers), and
+    go _PATH_ROWS rows at a time.
+    """
     ax, ay = frame.to(segs[:, 0], segs[:, 1])
     bx, by = frame.to(segs[:, 2], segs[:, 3])
     canvas = np.column_stack([ax, ay, bx, by])
-    # One %-format per block of rows; "%.4f" matches _num's format().
-    return "".join(
-        ("M%.4f %.4fL%.4f %.4f" * len(block)) % tuple(block.ravel().tolist())
-        for block in (canvas[i:i + _PATH_ROWS]
-                      for i in range(0, len(canvas), _PATH_ROWS))
-    )
+    return "".join(_numbers(canvas[i:i + _PATH_ROWS], b"M L ")
+                   for i in range(0, len(canvas), _PATH_ROWS))
 
 
 def render_scene(curve: CurveApprox, vs: VisibleSet) -> str:

@@ -292,13 +292,12 @@ def _pair_crossings(segs: np.ndarray, i: np.ndarray,
     ej = bj[mask] - aj
     w = aj - ai
     denom = ei[:, 0] * ej[:, 1] - ei[:, 1] * ej[:, 0]
+    # A zero-length segment has denom 0 and slack inf; the denom test drops it.
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (w[:, 0] * ej[:, 1] - w[:, 1] * ej[:, 0]) / denom
         u = (w[:, 0] * ei[:, 1] - w[:, 1] * ei[:, 0]) / denom
-    li = np.hypot(ei[:, 0], ei[:, 1])
-    lj = np.hypot(ej[:, 0], ej[:, 1])
-    slack_i = EPS_GEOM / li
-    slack_j = EPS_GEOM / lj
+        slack_i = EPS_GEOM / np.hypot(ei[:, 0], ei[:, 1])
+        slack_j = EPS_GEOM / np.hypot(ej[:, 0], ej[:, 1])
     good = (
         (np.abs(denom) > 0.0)
         & (t >= -slack_i) & (t <= 1.0 + slack_i)

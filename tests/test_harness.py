@@ -777,3 +777,14 @@ def test_cli_render_reproduces_the_sweep_svgs(sweep_out, tmp_path):
     for name in ("scene.svg", "dim_scatter.svg"):
         assert (tmp_path / "render" / name).read_bytes() == (
             out / name).read_bytes(), name
+
+
+def test_sweep_refuses_a_curve_with_a_zero_length_segment(tmp_path):
+    # The segment's box meets the curve's, so the crossing search tests it
+    # without a divide warning; the d_hat scale window then refuses the curve.
+    segs = generate(CurveSpec("koch", 1.5, 6, 0)).segments
+    mid = 0.5 * (segs[0, :2] + segs[0, 2:])
+    curve = from_segments(np.vstack([segs, np.tile(mid, 2)]))
+    with mock.patch.object(harness, "generate", return_value=curve), \
+            pytest.raises(ValueError, match="scale window collapses"):
+        run_sweep(tiny_config(tmp_path), workers=1, render=True)

@@ -16,4 +16,5 @@ def test_scale_probe_prints_every_step_at_level6():
     assert all(line.startswith("L6 ") for line in lines), lines
     # Each line is "L6 ", the step left-aligned in 14 columns, then its figures.
     assert [line[3:17].strip() for line in lines] == [
-        "generate", "curve file", "d_hat", "energy", "SegmentIndex", "visible_set", "grid median"]
+        "generate", "curve file", "d_hat", "energy", "SegmentIndex", "visible_set", "render_scene",
+        "grid median"]

@@ -3,6 +3,7 @@
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -11,9 +12,13 @@ from fracvis import svg
 from fracvis.fractals import koch_generalized
 from fracvis.visibility import Viewpoint, VisibleSet
 
-# -0.0, values that print as "-0.0000", and magnitudes up to 1e6.
+# Exact binary ties at four decimals ("41.4062", half to even) and their
+# 1-ulp neighbours.
+_TIES = [t for tie in (0.03125, 41.40625, 378.90625, -378.90625)
+         for t in (np.nextafter(tie, -np.inf), tie, np.nextafter(tie, np.inf))]
+# -0.0, values that print as "-0.0000", magnitudes up to 1e6, and ties.
 _COORDS = st.one_of(
-    st.sampled_from([0.0, -0.0, -4e-5, 4e-5, -5e-5, 1e6, -1e6]),
+    st.sampled_from([0.0, -0.0, -4e-5, 4e-5, -5e-5, 1e6, -1e6] + _TIES),
     st.floats(-1e6, 1e6, allow_nan=False),
     st.floats(-1e-3, 1e-3, allow_nan=False),
 )
@@ -69,3 +74,29 @@ def test_scene_of_an_empty_visible_set_has_no_red_path():
     assert 'stroke="#999999"' in scene
     assert "#cc2222" not in scene
     assert "visible pieces: 0  length: 0" in scene
+
+
+# Ties (2j + 1) / 20000, values k / 1e4 a few ulps off, signed zeros and
+# values that print as "-0.0000", up to the writer's range limit.
+_NUMBERS = st.one_of(
+    st.integers(0, 10**9).map(lambda j: (2 * j + 1) / 20000),
+    st.tuples(st.integers(0, 10**12), st.integers(-4, 4)).map(
+        lambda p: float(p[0] / 1e4 + p[1] * np.spacing(p[0] / 1e4))),
+    st.sampled_from([0.0, 4e-5, 5e-5, 0.99995, 9999.99995,
+                     float(np.nextafter(svg._PATH_LIMIT, 0))]),
+    st.floats(0.0, svg._PATH_LIMIT, exclude_max=True),
+)
+
+
+@given(values=st.lists(st.tuples(_NUMBERS, st.booleans()).map(
+    lambda p: -p[0] if p[1] else p[0]), max_size=20))
+def test_number_writer_matches_format(values):
+    column = np.array(values, dtype=float).reshape(-1, 1)
+    assert svg._numbers(column, b" ") == "".join(
+        " " + format(v, ".4f") for v in values)
+
+
+@pytest.mark.parametrize("bad", [svg._PATH_LIMIT, -1e300, np.inf, np.nan])
+def test_number_writer_refuses_what_it_cannot_place(bad):
+    with pytest.raises(ValueError, match="beyond the path writer's range"):
+        svg._numbers(np.array([[1.0], [bad]]), b" ")

@@ -146,6 +146,14 @@ def test_first_hit_rejects_point_cloud():
         SegmentIndex(cc)
 
 
+
+def test_zero_length_segment_is_refused_without_a_warning():
+    # Its box meets the diagonal's, so the crossing search tests the pair.
+    curve = from_segments([[0, 0, 1, 1], [0.5, 0.2, 0.5, 0.2]])
+    with pytest.raises(ValueError, match="segment set"):
+        visible_set(curve, (3.0, -1.0))
+    assert SegmentIndex(curve).crossings().shape == (0, 2)
+
 # ---------------------------------------------------------------------------
 # visible_oracle
 # ---------------------------------------------------------------------------
